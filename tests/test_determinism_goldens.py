@@ -142,6 +142,39 @@ def test_golden_fleet_report(tmp_path):
         "6c0ed3f4f98a7fdb33c9cdcb6a4b5744b525ac256a4731394dbc707e43ce5776")
 
 
+def test_golden_fleet_report_vector(tmp_path):
+    # The table-replay pipeline end to end: probe-table build, columnar
+    # composition of mixed devices and of an all-buggy (foreground)
+    # device, per-device kernel fallback for the two chaos-armed
+    # devices, the shared shard fold, checkpointed merge and canonical
+    # report JSON. The digest is the same on the numpy and pure-python
+    # backends (REPRO_FASTPATH_NUMPY=0), so the CI pure-python leg
+    # checks that parity too.
+    from repro.experiments.grid import GridRunner
+    from repro.fleet import (
+        FleetRunner,
+        PopulationSpec,
+        build_report,
+        report_json,
+    )
+
+    population = PopulationSpec(
+        seed=6, devices=8, shard_size=4, minutes=2.0,
+        mitigations=("vanilla", "leaseos"), chaos_rate=0.25,
+        buggy_prevalence=0.5)
+    runner = FleetRunner(population, runner=GridRunner(jobs=1, cache=False),
+                         mode="vector", checkpoint_dir=str(tmp_path / "ck"))
+    merged = runner.run()
+    for name in population.mitigations:
+        counters = merged[name].counters
+        assert counters["vector_devices"] == 6
+        assert counters["fastpath_fallbacks"] == 2
+        assert counters["faults_applied"] > 0
+    text = report_json(build_report(population, merged))
+    assert _digest(text) == (
+        "2501db1dcea20f3718629989abb6b0a9716297424a0aa27f1b81e6daf7dfc4eb")
+
+
 def test_golden_chaos_case_fingerprint():
     # Fault injection must be exactly deterministic: the same (scenario,
     # fault plan, seed) produces a bit-identical run. The fingerprint
