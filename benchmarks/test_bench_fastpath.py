@@ -1,16 +1,17 @@
-"""Fast-path benchmark: replay throughput, validation, 10^5 smoke.
+"""Transition-table benchmark: replay throughput, validation, 10^5 smoke.
 
 Records ``results/BENCH_fastpath.json`` (uploaded by the CI
-fastpath-smoke artifact step):
+table-smoke artifact step):
 
 - kernel vs table-replay device-days/sec at the canonical 30 sim-min
   day, and the speedup (the tentpole claim: >= 1000x, asserted);
 - the table-build amortisation facts (probe count, build seconds);
-- a full cross-validation run -- kernel vs fast on >= 50 seeded random
+- a full cross-validation run -- kernel vs table on >= 50 seeded random
   device-days drawn from the *default* heterogeneous sampling law,
   judged against the frozen per-metric tolerances (pass asserted);
-- a 10^5-device fleet smoke through ``FleetRunner(mode="auto")``:
-  end-to-end wall time, throughput, and the fallback fraction.
+- a 10^5-device fleet smoke through ``FleetRunner(mode="auto")``
+  (which resolves to the vector engine at this size): end-to-end wall
+  time, throughput, and the fallback fraction.
 
 The kernel baseline is timed over a handful of device-days (it is four
 orders of magnitude slower); the replay side over thousands.
@@ -22,9 +23,9 @@ import time
 
 from repro.experiments.grid import GridRunner
 from repro.fleet import FleetRunner, PopulationSpec, build_report
-from repro.fleet.fastpath import build_table, cross_validate, replay_shard
+from repro.fleet.fastpath import build_table, cross_validate
 from repro.fleet.shard import simulate_device_day
-from repro.fleet.stats import _numpy
+from repro.fleet.vector import replay_shard_vector
 
 #: Narrow sampling pools keep the benchmark's transition table small
 #: (the speedup is per *device-day*; class diversity only moves the
@@ -69,9 +70,9 @@ def test_bench_fastpath(results_path, tmp_path):
                         runner=GridRunner(jobs=1, cache=False))
     table_s = time.perf_counter() - start
 
-    # Replay throughput: lookups + perturbation + batched folding.
+    # Replay throughput: sampling, composition and batched folding.
     start = time.perf_counter()
-    stats, __ = replay_shard(population, 0, REPLAY_DEVICES, table)
+    stats, __ = replay_shard_vector(population, 0, REPLAY_DEVICES, table)
     replay_s = time.perf_counter() - start
     replay_days = REPLAY_DEVICES * len(population.mitigations)
     replay_dd_s = replay_days / replay_s
@@ -103,8 +104,7 @@ def test_bench_fastpath(results_path, tmp_path):
     smoke_runner = FleetRunner(
         smoke_pop, runner=GridRunner(jobs=1, cache=False), mode="auto",
         checkpoint_dir=str(tmp_path / "ck-smoke"))
-    assert smoke_runner.mode == (
-        "vector" if _numpy() is not None else "fast")
+    assert smoke_runner.mode == "vector"
     smoke_merged = smoke_runner.run()
     smoke_s = time.perf_counter() - start
     smoke_days = smoke_pop.devices * len(smoke_pop.mitigations)

@@ -1,19 +1,20 @@
-"""Vector-engine benchmark: columnar vs scalar fast-path throughput.
+"""Vector-engine benchmark: numpy vs pure-python backend throughput.
 
-Records ``results/BENCH_vector.json`` (uploaded by the CI vector-smoke
-artifact step):
+Records ``results/BENCH_vector.json`` (uploaded by the CI
+table-smoke artifact step):
 
-- scalar fast-path vs columnar device-days/sec on a 10^5-device,
-  4-mitigation fleet (the tentpole claim: >= 10x, asserted), with the
-  fallback count asserted zero on *both* sides so the comparison is
-  pure engine against pure engine;
+- pure-python backend (``REPRO_FASTPATH_NUMPY=0``: per-device
+  ``fast_summary`` and pure-python folds) vs numpy columnar
+  device-days/sec on a 10^5-device, 4-mitigation fleet (>= 10x,
+  asserted), with the fallback count asserted zero on *both* sides so
+  the comparison is pure engine against pure engine;
 - the same columnar throughput at 2 mitigations (the default law's
   width) for scaling context;
 - a 10^6-device end-to-end replay -- sampling, class resolution,
   composition and folding over every shard, merged -- asserted under
   60 s (the ISSUE's fleet-scale wall-clock budget);
 - the one-off table build, timed separately (it amortises across the
-  whole fleet and is identical for both engines).
+  whole fleet and is identical for both backends).
 
 The bench law is app-rich (8..12 installed apps, four mitigations)
 because that is where the scalar per-device Python walk hurts; the
@@ -29,7 +30,7 @@ import os
 import time
 
 from repro.experiments.grid import GridRunner
-from repro.fleet.fastpath import build_table, replay_shard
+from repro.fleet.fastpath import build_table
 from repro.fleet.population import BUGGY_POOL, PopulationSpec
 from repro.fleet.stats import FleetStats
 from repro.fleet.vector import replay_shard_vector
@@ -39,14 +40,14 @@ MITIGATIONS = ("vanilla", "leaseos", "doze-aggressive", "defdroid")
 #: The throughput-comparison fleet.
 BENCH_DEVICES = 100_000
 
-#: Devices the scalar side replays (it is ~10x slower per device-day;
-#: a prefix keeps the benchmark honest *and* quick).
+#: Devices the pure-python backend replays (it is ~10x slower per
+#: device-day; a prefix keeps the benchmark honest *and* quick).
 SCALAR_DEVICES = 2_500
 
 #: The end-to-end fleet-scale smoke.
 SMOKE_DEVICES = 1_000_000
 
-#: Required columnar advantage over the scalar fast path.
+#: Required numpy columnar advantage over the pure-python backend.
 MIN_SPEEDUP = 10.0
 
 #: Fleet-scale wall-clock budget (seconds) for the 10^6 replay.
@@ -65,26 +66,28 @@ def _fallbacks(stats):
                for fold in stats.values())
 
 
-def test_bench_vector(results_path):
+def test_bench_vector(results_path, monkeypatch):
     population = _population(BENCH_DEVICES, MITIGATIONS, 25_000)
 
-    # One-off table build, shared by both engines (timed separately:
+    # One-off table build, shared by both backends (timed separately:
     # it amortises over the fleet and is identical either way).
     start = time.perf_counter()
     table = build_table(population,
                         runner=GridRunner(jobs=1, cache=False))
     table_s = time.perf_counter() - start
 
-    # Scalar fast path: a device prefix, pure table replay.
+    # Pure-python backend: a device prefix, pure table replay.
+    monkeypatch.setenv("REPRO_FASTPATH_NUMPY", "0")
     start = time.perf_counter()
-    scalar_stats, __ = replay_shard(population, 0, SCALAR_DEVICES,
-                                    table)
+    scalar_stats, __ = replay_shard_vector(population, 0,
+                                           SCALAR_DEVICES, table)
     scalar_s = time.perf_counter() - start
+    monkeypatch.delenv("REPRO_FASTPATH_NUMPY")
     scalar_days = SCALAR_DEVICES * len(MITIGATIONS)
     scalar_dd_s = scalar_days / scalar_s
     assert _fallbacks(scalar_stats) == 0
 
-    # Columnar engine: one full shard.
+    # numpy columnar backend: one full shard.
     start = time.perf_counter()
     vector_stats, __ = replay_shard_vector(population, 0, 25_000,
                                            table)
@@ -133,7 +136,7 @@ def test_bench_vector(results_path):
         "vector_device_days": vector_days,
         "vector_s": round(vector_s, 3),
         "vector_device_days_per_s": round(vector_dd_s, 1),
-        "speedup_vs_fast": round(speedup, 2),
+        "speedup_vs_python_backend": round(speedup, 2),
         "vector_2mit_device_days_per_s": round(narrow_dd_s, 1),
         "smoke": {
             "devices": SMOKE_DEVICES,

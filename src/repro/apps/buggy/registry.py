@@ -15,20 +15,20 @@ Three tiers share it:
 - **Scenario cases** (:mod:`repro.scenarios`): generated at runtime
   from a :class:`~repro.scenarios.catalog.ScenarioCatalog`. Keys carry
   the :data:`SCENARIO_PREFIX` so every layer (shard construction, the
-  fast/vector guards, telemetry) can recognise them without importing
+  table-replay guards, telemetry) can recognise them without importing
   the generator; re-registration with an identical spec is a no-op,
   with a *different* spec an error (two catalogs must not silently
   fight over one key).
 
 :func:`resolve_case` is the single lookup every consumer
 (:func:`repro.fleet.shard.build_device_phone`,
-:func:`repro.experiments.grid.resolve_case`, the fast-path probes)
+:func:`repro.experiments.grid.resolve_case`, the table probes)
 goes through.
 """
 
 #: Key prefix marking a generated scenario case. Population specs may
-#: carry these keys in ``DeviceSpec.buggy_apps``; the fast/vector
-#: engines route any device holding one to the kernel.
+#: carry these keys in ``DeviceSpec.buggy_apps``; the table-replay
+#: engine routes any device holding one to the kernel.
 SCENARIO_PREFIX = "scenario:"
 
 #: Table 5 rows, in the paper's order (cpu, screen, gps, sensor).

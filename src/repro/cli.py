@@ -335,7 +335,7 @@ def _cmd_fleet(args):
     # report files, so run counters stay on stderr.
     execution = {"mode": fleet_runner.mode,
                  "requested_mode": fleet_runner.requested_mode}
-    if fleet_runner.mode in ("fast", "vector"):
+    if fleet_runner.mode == "vector":
         execution["table_fingerprint"] = \
             fleet_runner.table_fingerprint or ""
     validation = None
@@ -355,34 +355,12 @@ def _cmd_fleet(args):
               file=sys.stderr)
         if not validation["pass"]:
             args.exit_code = 1
-        if fleet_runner.mode == "vector":
-            # Second gate for the columnar engine: vector vs the scalar
-            # fast path under the frozen VECTOR_TOLERANCES (bitwise
-            # where elementwise order permits), on top of the
-            # kernel-anchored check above.
-            from repro.fleet.vector import cross_validate as vector_cv
-
-            vector_validation = vector_cv(population,
-                                          n=args.cross_validate,
-                                          runner=fleet_runner.runner)
-            execution["vector_cross_validation"] = vector_validation
-            print("vector cross-validation ({} backend): {} device-days "
-                  "vs scalar fast path, {}".format(
-                      vector_validation["backend"],
-                      vector_validation["device_days_compared"],
-                      "PASS" if vector_validation["pass"]
-                      else "FAIL ({} violation(s))".format(
-                          vector_validation["violation_count"])),
-                  file=sys.stderr)
-            if not vector_validation["pass"]:
-                args.exit_code = 1
     report = build_report(population, merged, execution=execution)
     text = render(report)
-    if fleet_runner.mode in ("fast", "vector"):
-        text += ("\n\nexecution: {} path, transition table {}".format(
-            "columnar vector" if fleet_runner.mode == "vector"
-            else "fast",
-            (fleet_runner.table_fingerprint or "")[:12]))
+    if fleet_runner.mode == "vector":
+        text += ("\n\nexecution: columnar vector path, transition "
+                 "table {}".format(
+                     (fleet_runner.table_fingerprint or "")[:12]))
     if validation is not None:
         text += ("\ncross-validation: {} vs kernel on {} device-days "
                  "(see report execution block)".format(
@@ -799,20 +777,18 @@ def build_parser():
                                   "report (default: "
                                   "results/fleet_s<seed>_d<devices>.json)")
             sub.add_argument("--mode",
-                             choices=("kernel", "fast", "vector", "auto"),
+                             choices=("kernel", "vector", "auto"),
                              default="kernel",
                              help="device-day executor: the full event "
-                                  "kernel, the kernel-validated "
-                                  "transition-table fast path, the "
-                                  "columnar vectorized engine, or auto "
-                                  "(vector/fast for large fleets)")
-            sub.add_argument("--fast-path", action="store_const",
-                             dest="mode", const="fast",
-                             help="shorthand for --mode fast")
+                                  "kernel, the columnar vectorized "
+                                  "replay of the kernel-validated "
+                                  "transition table, or auto (vector "
+                                  "for large fleets)")
             sub.add_argument("--cross-validate", type=int, default=0,
                              metavar="N",
                              help="run N seeded random device-days "
-                                  "through both executors and embed the "
+                                  "through the kernel and the "
+                                  "transition table and embed the "
                                   "per-metric accuracy comparison in "
                                   "the report (non-zero exit on "
                                   "violation)")

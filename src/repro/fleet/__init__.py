@@ -7,11 +7,11 @@ runner with per-shard checkpoint/resume (:mod:`~repro.fleet.shard`),
 aggregate with mergeable O(shards)-memory statistics
 (:mod:`~repro.fleet.stats`), and compare mitigations at population
 scale (:mod:`~repro.fleet.report`). Device-days execute on the event
-kernel, on the kernel-validated transition-table fast path
-(:mod:`~repro.fleet.fastpath`, ``mode="fast"``), or on the columnar
-vectorized engine composing whole shards at once over the same table
-(:mod:`~repro.fleet.vector`, ``mode="vector"``; ``mode="auto"`` picks
-the fastest applicable). CLI: ``python -m repro fleet``.
+kernel, or are replayed from the kernel-validated transition table
+(:mod:`~repro.fleet.fastpath`) by the columnar vectorized engine,
+which composes whole shards at once (:mod:`~repro.fleet.vector`,
+``mode="vector"``; ``mode="auto"`` picks it for large fleets). CLI:
+``python -m repro fleet``.
 """
 
 from repro.fleet.fastpath import (
@@ -19,19 +19,13 @@ from repro.fleet.fastpath import (
     build_table,
     cross_validate,
     fast_summary,
-    replay_shard,
 )
 from repro.fleet.population import (
     DeviceColumns,
     DeviceSpec,
     PopulationSpec,
 )
-from repro.fleet.vector import (
-    VECTOR_TOLERANCES,
-    compose_shard,
-    replay_shard_vector,
-)
-from repro.fleet.vector import cross_validate as cross_validate_vector
+from repro.fleet.vector import compose_shard, replay_shard_vector
 from repro.fleet.report import (
     build_report,
     default_report_path,
@@ -59,12 +53,9 @@ __all__ = [
     "TransitionTable",
     "build_table",
     "cross_validate",
-    "cross_validate_vector",
     "fast_summary",
-    "replay_shard",
     "replay_shard_vector",
     "compose_shard",
-    "VECTOR_TOLERANCES",
     "FleetStats",
     "Histogram",
     "MetricSummary",

@@ -1,15 +1,18 @@
-"""Batched fast-path device-day simulator, validated against the kernel.
+"""Kernel-probed transition table and the per-device composition over it.
 
 The discrete-event kernel spends ~0.25 host-seconds per simulated
 device-day; at fleet scale (ROADMAP: "millions of device-days") that is
 the whole budget. This module replaces the event loop with a
 **transition/outcome table**: the kernel is run once per
 *device-equivalence class* -- a (device profile, mitigation, app)
-combination on a canonical representative day -- and whole shards of
-device-days are then replayed as table lookups plus deterministic,
-seed-derived perturbation. Three-plus orders of magnitude faster, and
-continuously cross-validated against the kernel it summarises
-(SimDC-style aggregated fast-pathing; see PAPERS.md).
+combination on a canonical representative day -- and device-days are
+then composed from table lookups plus deterministic, seed-derived
+perturbation (:func:`fast_summary`). The table-replay executor,
+:func:`repro.fleet.vector.replay_shard_vector`, composes whole shards
+this way -- columnar with numpy, per device through
+:func:`fast_summary` without it. Three-plus orders of magnitude
+faster, and continuously cross-validated against the kernel it
+summarises (SimDC-style aggregated fast-pathing; see PAPERS.md).
 
 How a device-day is composed from probes
 ----------------------------------------
@@ -55,7 +58,7 @@ earlier ones, and whether a bug fires can depend on the *winning*
 values (a weak-signal case suppresses a stationary-tracking case's
 fix-processing spin by keeping GPS from ever locking). Probes
 therefore run under the device's final merged overrides
-(:func:`merged_case_env`), so an app's table entry reflects the
+(:func:`case_env_json`), so an app's table entry reflects the
 environment it actually inhabits on that device class.
 
 Lease traffic, disruptions and classifier outcomes (fp/fn) are integer
@@ -70,11 +73,11 @@ Everything is deterministic: probes are seeded and cached
 (content-addressed, through the grid :class:`~repro.experiments.grid.
 ResultCache`), the table serialises to canonical JSON with a sha256
 fingerprint, and a replayed shard's ``FleetStats`` are bit-identical
-across shard order, batch size, kill-and-resume, and numpy presence.
+across shard order, kill-and-resume, and numpy presence.
 
 Accuracy is a *measured, stated* contract, not an assumption:
-:func:`cross_validate` runs N seeded random device-days through both
-paths and asserts every per-metric delta within
+:func:`cross_validate` runs N seeded random device-days through the
+kernel and the table and asserts every per-metric delta within
 :data:`DEFAULT_TOLERANCES` (see docs/fleet.md for the accuracy model).
 A device the table cannot faithfully replay -- armed fault plan,
 missing or crashed probe, non-finite composition -- **falls back to
@@ -87,7 +90,6 @@ import json
 import sys
 
 from repro.fleet.population import DeviceSpec, PopulationSpec
-from repro.fleet.stats import FleetStats
 
 #: Bump when the canonical day, the probe set, or the composition model
 #: changes: it salts every probe's cache key and the table fingerprint,
@@ -138,7 +140,7 @@ def jitter_unit(sub_seed):
     z = z ^ (z >> 31)
     return (z >> 11) * (2.0 ** -53)
 
-#: ``mode="auto"`` picks the fast path at or above this population
+#: ``mode="auto"`` picks the vector engine at or above this population
 #: size; below it the table build cannot amortise over enough
 #: device-days to beat just running the kernel.
 AUTO_MIN_DEVICES = 512
@@ -181,9 +183,10 @@ ENTRY_FIELDS = (
     "fn_apps", "crashed",
 )
 
-#: Metrics compared kernel-vs-fast by :func:`cross_validate`, with the
+#: Metrics compared kernel-vs-table by :func:`cross_validate`, with the
 #: default per-device-day tolerance: a delta passes iff
-#: ``abs(fast - kernel) <= abs_tol + rel_tol * abs(kernel)``. These are
+#: ``abs(fast - kernel) <= abs_tol + rel_tol * abs(kernel)``, ``fast``
+#: being the :func:`fast_summary` value. These are
 #: calibrated against measured composition error (docs/fleet.md has the
 #: accuracy model and the measured envelope behind each number).
 DEFAULT_TOLERANCES = {
@@ -247,23 +250,9 @@ def _screen_cycle_day(phone, session_count, session_s):
 _ENV_CACHE = {}
 
 
-def _case_env(buggy_apps):
-    """``(merged env dict, canonical JSON)`` for one buggy-app tuple."""
-    cached = _ENV_CACHE.get(buggy_apps)
-    if cached is None:
-        from repro.apps.buggy import resolve_case
-
-        env = {}
-        for key in buggy_apps:
-            env.update(resolve_case(key).phone_kwargs)
-        cached = (env, json.dumps(env, sort_keys=True,
-                                  separators=(",", ":")))
-        _ENV_CACHE[buggy_apps] = cached
-    return cached
-
-
-def merged_case_env(device):
-    """The device's final phone-kwargs overrides from its buggy cases.
+def case_env_json(buggy_apps):
+    """Canonical JSON of a buggy-app tuple's merged case environment --
+    the table's environment key component.
 
     Replicates :func:`repro.fleet.shard.build_device_phone`'s merge:
     every case pins its triggering environment, later installs win.
@@ -271,18 +260,17 @@ def merged_case_env(device):
     table build and replay do the JSON canonicalisation once per class
     instead of once per device.
     """
-    return dict(_case_env(tuple(device.buggy_apps))[0])
+    buggy_apps = tuple(buggy_apps)
+    cached = _ENV_CACHE.get(buggy_apps)
+    if cached is None:
+        from repro.apps.buggy import resolve_case
 
-
-def case_env_json(buggy_apps):
-    """Canonical env JSON for a buggy-app tuple (class-level lookup)."""
-    return _case_env(tuple(buggy_apps))[1]
-
-
-def device_env_json(device):
-    """Canonical JSON of :func:`merged_case_env` -- the table's
-    environment key component."""
-    return _case_env(tuple(device.buggy_apps))[1]
+        env = {}
+        for key in buggy_apps:
+            env.update(resolve_case(key).phone_kwargs)
+        cached = json.dumps(env, sort_keys=True, separators=(",", ":"))
+        _ENV_CACHE[buggy_apps] = cached
+    return cached
 
 
 def probe_day(kind, name, profile, mitigation, minutes, variant,
@@ -409,7 +397,7 @@ class TransitionTable:
 
 def device_probes(device, mitigations):
     """The probe tuples one device's replay will look up."""
-    env = device_env_json(device)
+    env = case_env_json(device.buggy_apps)
     probes = []
     for mitigation in mitigations:
         for variant in BASE_VARIANTS:
@@ -615,7 +603,7 @@ def _shared_overlap(normal_shared, buggy_shared):
 
 
 def fast_summary(device, mitigation, table, minutes):
-    """One device-day from the table: the fast path's answer to
+    """One device-day from the table: the table's answer to
     :func:`repro.fleet.shard.simulate_device_day`.
 
     Returns the same flat scalar dict shape, or ``None`` when the
@@ -624,7 +612,7 @@ def fast_summary(device, mitigation, table, minutes):
     from repro.sim.summary import battery_life_h
 
     prof = device.profile
-    env = device_env_json(device)
+    env = case_env_json(device.buggy_apps)
     base_idle = table.get("base", "", prof, mitigation, "idle", env)
     base_active = table.get("base", "", prof, mitigation, "active", env)
     base_awake = table.get("base", "", prof, mitigation, "awake", env)
@@ -793,7 +781,7 @@ def fast_summary(device, mitigation, table, minutes):
     }
 
 
-# -- shard replay --------------------------------------------------------------
+# -- fallback warnings ---------------------------------------------------------
 
 #: Fallback reasons already warned about (structured, one line per
 #: distinct reason; every occurrence is still counted). Scoped per
@@ -829,99 +817,6 @@ def _log_fallback_once(reason, device_index):
         sort_keys=True), file=sys.stderr)
 
 
-class _BatchFold:
-    """Order-preserving batched stand-in for ``FleetStats`` folding.
-
-    Collects observations per metric across the whole shard, then
-    flushes each metric through ``observe_many`` exactly once -- the
-    same one-batch-per-metric-per-shard fold the vector engine
-    performs, so fast and vector shard stats stay bit-identical (see
-    the batch-fold contract in :mod:`repro.fleet.stats`).
-    """
-
-    def __init__(self):
-        self.stats = FleetStats()
-        self._values = {}
-
-    def observe(self, name, value):
-        self._values.setdefault(name, []).append(value)
-
-    def count(self, name, amount=1):
-        self.stats.count(name, amount)
-
-    def flush(self):
-        for name, values in self._values.items():
-            self.stats.observe_many(name, values)
-        self._values = {}
-        return self.stats
-
-
-def replay_shard(population, start, stop, table,
-                 max_crash_records=None, telemetry=None):
-    """Replay devices [start, stop) from the table, kernel-fallback
-    per device; returns ``({mitigation: FleetStats}, crashes)``.
-
-    The same fold as the kernel path (:func:`repro.fleet.shard.
-    _fold_device` drives a batched sink), plus two fast-path counters
-    per mitigation: ``fastpath_devices`` and ``fastpath_fallbacks``.
-    No per-device record survives the loop. ``telemetry`` is the
-    shard's :class:`~repro.telemetry.emit.ShardTelemetry` (or None).
-    """
-    from repro.apps.buggy import scenario_families
-    from repro.fleet.shard import (
-        MAX_CRASH_RECORDS,
-        _fold_device,
-        simulate_device_day,
-    )
-
-    if max_crash_records is None:
-        max_crash_records = MAX_CRASH_RECORDS
-    folds = {name: _BatchFold() for name in population.mitigations}
-    crashes = []
-    for index in range(start, stop):
-        device = population.device(index)
-        families = scenario_families(device.buggy_apps)
-        reason = _device_guard(device, population.mitigations, table)
-        summaries = {}
-        if reason is None:
-            for mitigation in population.mitigations:
-                summary = fast_summary(device, mitigation, table,
-                                       population.minutes)
-                if summary is None:
-                    reason = "non-finite-composition"
-                    summaries = {}
-                    break
-                summaries[mitigation] = summary
-        if reason is not None:
-            _log_fallback_once(reason, index)
-            for mitigation in population.mitigations:
-                summaries[mitigation] = simulate_device_day(
-                    device, mitigation, population.minutes)
-        vanilla_summary = None
-        for mitigation in population.mitigations:
-            summary = summaries[mitigation]
-            if mitigation == "vanilla":
-                vanilla_summary = summary
-            if summary["crashed"] and len(crashes) < max_crash_records:
-                crashes.append({"device": device.index,
-                                "mitigation": mitigation,
-                                "error": summary["crash_error"]})
-            fold = folds[mitigation]
-            _fold_device(fold, summary, vanilla_summary)
-            fold.count("fastpath_devices")
-            if reason is not None:
-                fold.count("fastpath_fallbacks")
-            for family in families:
-                fold.count("scenario:" + family)
-            if telemetry is not None:
-                telemetry.observe(summary)
-                if families:
-                    telemetry.observe_families(families)
-        if telemetry is not None:
-            telemetry.device_done()
-    return {name: fold.flush() for name, fold in folds.items()}, crashes
-
-
 # -- cross-validation ----------------------------------------------------------
 
 def kernel_device_day(population_json, index, mitigation):
@@ -938,7 +833,7 @@ def kernel_device_day(population_json, index, mitigation):
 def validation_population(population, n, seed):
     """An ``n``-device population drawn from the same sampling law as
     ``population`` (same pools, prevalence, minutes, mitigations) but
-    an independent seed and no chaos -- the fast path's random exam."""
+    an independent seed and no chaos -- the table's random exam."""
     return PopulationSpec(
         seed=seed, devices=n, mitigations=population.mitigations,
         minutes=population.minutes, shard_size=population.shard_size,
@@ -950,7 +845,7 @@ def validation_population(population, n, seed):
 
 def cross_validate(population, n=50, seed=20190451, runner=None,
                    table=None, tolerances=None):
-    """Kernel vs fast path on ``n`` seeded random device-days.
+    """Kernel vs table replay on ``n`` seeded random device-days.
 
     Returns a plain dict (embedded verbatim in the fleet report's
     provenance block): per-metric worst/mean absolute deltas, the

@@ -21,6 +21,7 @@ import os
 import sys
 import tempfile
 
+from repro.apps.buggy import scenario_families
 from repro.experiments.grid import FuncSpec, GridRunner
 from repro.fleet.population import PopulationSpec, normal_app_factory
 from repro.fleet.stats import FleetStats
@@ -41,7 +42,7 @@ MAX_CRASH_RECORDS = 20
 
 #: Distinct device-crash reasons already logged; a 10k-device shard
 #: with one systematic bug logs one line, not 10k. Scoped per *run*:
-#: :class:`FleetRunner` clears it (and the fast path's fallback twin)
+#: :class:`FleetRunner` clears it (and the table replay's fallback twin)
 #: at construction, so a second run in the same process warns again.
 _LOGGED_CRASH_REASONS = set()
 
@@ -65,10 +66,10 @@ def build_device_phone(device, mitigation, extra_overrides=None):
     """Materialise a DeviceSpec as a live phone, apps installed.
 
     Returns ``(phone, buggy_uids, interactive_uids, injector)``. Shared
-    by the kernel path below and the fast path's table probes
+    by the kernel path below and the transition table's probes
     (:mod:`repro.fleet.fastpath`), so a probe day exercises the *exact*
     construction a real device-day does. ``extra_overrides`` are final
-    phone-kwargs overrides applied after every case's -- the fast path
+    phone-kwargs overrides applied after every case's -- the table
     uses them to probe one app under the *merged* environment of a
     multi-case device (a later case's triggering environment overrides
     an earlier one's, which changes whether the earlier bug fires).
@@ -167,29 +168,100 @@ def simulate_device_day(device, mitigation, minutes):
     return summary
 
 
-def _fold_device(stats, summary, vanilla_summary):
-    """Fold one device-day summary into a mitigation's FleetStats."""
-    stats.observe("battery_life_h", summary["battery_life_h"])
-    stats.observe("system_power_mw", summary["system_power_mw"])
-    stats.observe("buggy_power_mw", summary["buggy_power_mw"])
-    stats.observe("disruptions", summary["disruptions"])
-    if summary["mitigation"] != "vanilla" and vanilla_summary is not None:
-        base = vanilla_summary["buggy_power_mw"]
-        if base > 1e-9:
-            reduction = 100.0 * (1.0 - summary["buggy_power_mw"] / base)
-            stats.observe("waste_reduction_pct", reduction)
-        delta_h = summary["battery_life_h"] \
-            - vanilla_summary["battery_life_h"]
-        stats.observe("battery_delta_h", delta_h)
-    if summary["mitigation"] == "leaseos":
-        stats.observe("deferrals", summary["deferrals"])
-    stats.count("devices")
-    for name in ("renewals", "deferrals", "revocations", "fp_apps",
-                 "fn_apps", "crashed", "faults_applied", "disruptions"):
-        stats.count(name, summary[name])
-    stats.count("normal_apps", summary["normal_installed"])
-    stats.count("buggy_apps", summary["buggy_installed"])
-    stats.count("buggy_devices", 1 if summary["buggy_installed"] else 0)
+#: Per-device columns the shard fold reads under each mitigation.
+FOLD_COLUMNS = ("system_power_mw", "buggy_power_mw", "battery_life_h",
+                "disruptions", "renewals", "deferrals", "revocations",
+                "fp_apps", "fn_apps", "crashed", "faults_applied")
+
+
+class _SequentialStats(FleetStats):
+    """The kernel's fold sink: every batch folds value by value.
+
+    ``observe_many`` replays ``observe`` once per value, in order, so a
+    kernel shard keeps its sequential Welford fold (and the report
+    bytes pinned on it) while sharing :func:`fold_shard` with the
+    table-replay engine, whose plain :class:`FleetStats` sinks fold
+    each metric as one batch.
+    """
+
+    __slots__ = ()
+
+    def observe_many(self, name, values):
+        for value in values:
+            self.observe(name, value)
+
+
+def _int_sum(values):
+    """Exact integer column sum (``int64.sum()`` or builtin)."""
+    return int(values.sum()) if hasattr(values, "sum") \
+        else int(sum(values))
+
+
+def _paired_columns(columns, vanilla):
+    """``(waste_reduction_pct, battery_delta_h)`` of one mitigation's
+    columns against the paired vanilla days: waste only where the
+    vanilla day wasted anything, the battery delta for every device.
+    numpy columns run the scalar's exact float ops elementwise, so both
+    column types observe bit-identical sequences."""
+    buggy, base = columns["buggy_power_mw"], vanilla["buggy_power_mw"]
+    life, base_life = columns["battery_life_h"], vanilla["battery_life_h"]
+    if hasattr(base, "dtype"):
+        wasted = base > 1e-9
+        return 100.0 * (1.0 - buggy[wasted] / base[wasted]), \
+            life - base_life
+    waste = [100.0 * (1.0 - value / paired)
+             for value, paired in zip(buggy, base) if paired > 1e-9]
+    return waste, [value - paired
+                   for value, paired in zip(life, base_life)]
+
+
+def fold_shard(stats, columns, normal_apps, buggy_apps):
+    """Fold one shard's device-days into per-mitigation ``stats``.
+
+    ``columns[mitigation][name]`` holds one value per device, in
+    device-index order, for every :data:`FOLD_COLUMNS` name (lists, or
+    numpy arrays from the vector engine); mitigations iterate in
+    population order. ``normal_apps``/``buggy_apps`` are the devices'
+    installed app tuples. This is the whole fold policy, shared by
+    every executor: ``waste_reduction_pct`` and ``battery_delta_h``
+    are observed only for mitigations after vanilla, ``deferrals``
+    only under leaseos, and every metric reaches its sink in one
+    ``observe_many`` call per shard -- a :class:`FleetStats` batch-
+    merges it, a :class:`_SequentialStats` observes value by value.
+    """
+    devices = len(buggy_apps)
+    normal_total = sum(len(apps) for apps in normal_apps)
+    buggy_total = sum(len(apps) for apps in buggy_apps)
+    buggy_devices = sum(1 for apps in buggy_apps if apps)
+    families = {}
+    for apps in buggy_apps:
+        for family in scenario_families(apps):
+            families[family] = families.get(family, 0) + 1
+    mitigations = tuple(columns)
+    vanilla = columns["vanilla"]
+    paired = mitigations[mitigations.index("vanilla") + 1:]
+    for mitigation in mitigations:
+        sink = stats[mitigation]
+        data = columns[mitigation]
+        for name in ("battery_life_h", "system_power_mw",
+                     "buggy_power_mw", "disruptions"):
+            sink.observe_many(name, data[name])
+        if mitigation in paired:
+            waste, delta = _paired_columns(data, vanilla)
+            sink.observe_many("waste_reduction_pct", waste)
+            sink.observe_many("battery_delta_h", delta)
+        if mitigation == "leaseos":
+            sink.observe_many("deferrals", data["deferrals"])
+        sink.count("devices", devices)
+        for name in ("renewals", "deferrals", "revocations", "fp_apps",
+                     "fn_apps", "crashed", "faults_applied",
+                     "disruptions"):
+            sink.count(name, _int_sum(data[name]))
+        sink.count("normal_apps", normal_total)
+        sink.count("buggy_apps", buggy_total)
+        sink.count("buggy_devices", buggy_devices)
+        for family, count in sorted(families.items()):
+            sink.count("scenario:" + family, count)
 
 
 # -- the shard job ------------------------------------------------------------
@@ -203,18 +275,18 @@ def run_shard(population_json, start, stop, mode="kernel",
     the shard summary: per-mitigation ``FleetStats`` dicts plus
     bookkeeping -- size O(1) in the device count.
 
-    ``mode="fast"`` replays the shard from the transition table in
-    ``table_json`` (:mod:`repro.fleet.fastpath`) instead of running the
-    event kernel, falling back to the kernel per device where the
-    table cannot be trusted; ``mode="vector"`` composes the whole
-    shard columnar over the same table
-    (:mod:`repro.fleet.vector`), same per-device fallback rules. The
-    extra kwargs also mean table-replayed shard results can never
-    collide with kernel ones in the grid's content-addressed cache
-    (and ``mode`` separates fast from vector): a kernel dispatch omits
-    them entirely, so its cache keys are byte-identical to what they
-    always were.
+    ``mode="vector"`` replays the shard from the transition table in
+    ``table_json`` (:mod:`repro.fleet.vector`, composing the whole
+    shard columnar over :mod:`repro.fleet.fastpath`'s table) instead of
+    running the event kernel, falling back to the kernel per device
+    where the table cannot be trusted. The extra kwargs also mean
+    table-replayed shard results can never collide with kernel ones in
+    the grid's content-addressed cache: a kernel dispatch omits them
+    entirely, so its cache keys are byte-identical to what they always
+    were.
     """
+    if mode not in ("kernel", "vector"):
+        raise ValueError("unknown shard mode {!r}".format(mode))
     # Imported lazily: repro.telemetry imports repro.fleet.stats, so a
     # module-level import here would be circular.
     from repro.telemetry.emit import shard_telemetry
@@ -228,78 +300,68 @@ def run_shard(population_json, start, stop, mode="kernel",
     try:
         if telem is not None:
             telem.started()
-        if mode in ("fast", "vector"):
-            from repro.fleet.fastpath import TransitionTable, replay_shard
-
-            table = TransitionTable.from_json(table_json)
-            if mode == "vector":
-                from repro.fleet.vector import replay_shard_vector
-
-                per_mitigation, crashes = replay_shard_vector(
-                    population, start, stop, table, telemetry=telem)
-            else:
-                per_mitigation, crashes = replay_shard(
-                    population, start, stop, table, telemetry=telem)
-            if telem is not None:
-                telem.finished()
-            return {
-                "schema": CHECKPOINT_SCHEMA,
-                "population": population.fingerprint(),
-                "start": start,
-                "stop": stop,
-                "mode": mode,
-                "table": table.fingerprint(),
-                "stats": {name: stats.to_dict()
-                          for name, stats
-                          in sorted(per_mitigation.items())},
-                "crashes": crashes,
-            }
-        from repro.apps.buggy import scenario_families
-
-        per_mitigation = {name: FleetStats()
-                          for name in population.mitigations}
-        crashes = []
-        for device in population.devices_in(start, stop):
-            vanilla_summary = None
-            families = scenario_families(device.buggy_apps)
-            for mitigation in population.mitigations:
-                summary = simulate_device_day(
-                    device, mitigation, population.minutes)
-                if mitigation == "vanilla":
-                    vanilla_summary = summary
-                if summary["crashed"] and len(crashes) < MAX_CRASH_RECORDS:
-                    crashes.append({"device": device.index,
-                                    "mitigation": mitigation,
-                                    "error": summary["crash_error"]})
-                _fold_device(per_mitigation[mitigation], summary,
-                             vanilla_summary)
-                for family in families:
-                    per_mitigation[mitigation].count(
-                        "scenario:" + family)
-                if telem is not None:
-                    telem.observe(summary)
-                    if families:
-                        telem.observe_families(families)
-            if telem is not None:
-                telem.device_done()
-        if telem is not None:
-            telem.finished()
-        return {
+        summary = {
             "schema": CHECKPOINT_SCHEMA,
             "population": population.fingerprint(),
             "start": start,
             "stop": stop,
-            "mode": "kernel",
-            "stats": {name: stats.to_dict()
-                      for name, stats in sorted(per_mitigation.items())},
-            # Structured per-device crash records (capped): the
-            # aggregate "crashed" counter says how many, these say
-            # which and why.
-            "crashes": crashes,
+            "mode": mode,
         }
+        if mode == "vector":
+            from repro.fleet.fastpath import TransitionTable
+            from repro.fleet.vector import replay_shard_vector
+
+            table = TransitionTable.from_json(table_json)
+            per_mitigation, crashes = replay_shard_vector(
+                population, start, stop, table, telemetry=telem)
+            summary["table"] = table.fingerprint()
+        else:
+            per_mitigation, crashes = _kernel_shard(population, start,
+                                                    stop, telem)
+        if telem is not None:
+            telem.finished()
+        summary["stats"] = {name: stats.to_dict()
+                            for name, stats
+                            in sorted(per_mitigation.items())}
+        # Structured per-device crash records (capped): the aggregate
+        # "crashed" counter says how many, these say which and why.
+        summary["crashes"] = crashes
+        return summary
     finally:
         if telem is not None:
             telem.close()
+
+
+def _kernel_shard(population, start, stop, telem):
+    """Every device-day of [start, stop) on the event kernel; returns
+    ``({mitigation: FleetStats}, crashes)``."""
+    columns = {name: {column: [] for column in FOLD_COLUMNS}
+               for name in population.mitigations}
+    normal_apps, buggy_apps = [], []
+    crashes = []
+    for device in population.devices_in(start, stop):
+        normal_apps.append(device.normal_apps)
+        buggy_apps.append(device.buggy_apps)
+        families = scenario_families(device.buggy_apps)
+        for mitigation in population.mitigations:
+            summary = simulate_device_day(
+                device, mitigation, population.minutes)
+            if summary["crashed"] and len(crashes) < MAX_CRASH_RECORDS:
+                crashes.append({"device": device.index,
+                                "mitigation": mitigation,
+                                "error": summary["crash_error"]})
+            for column, values in columns[mitigation].items():
+                values.append(summary[column])
+            if telem is not None:
+                telem.observe(summary)
+                if families:
+                    telem.observe_families(families)
+        if telem is not None:
+            telem.device_done()
+    per_mitigation = {name: _SequentialStats()
+                      for name in population.mitigations}
+    fold_shard(per_mitigation, columns, normal_apps, buggy_apps)
+    return per_mitigation, crashes
 
 
 # -- checkpointed dispatch ----------------------------------------------------
@@ -308,28 +370,26 @@ class FleetRunner:
     """Drives a population's shards through a GridRunner with resume.
 
     ``checkpoint_dir`` defaults to a per-population directory under
-    ``results/.fleet/<fingerprint12>/`` (suffixed ``-fast`` on the fast
-    path, so the two execution modes never share checkpoint files), so
-    re-running the same spec resumes automatically and different specs
-    never collide. Checkpoint files from another population, package
+    ``results/.fleet/<fingerprint12>/`` (suffixed ``-vector`` on the
+    vector engine, so the two execution modes never share checkpoint
+    files), so re-running the same spec resumes automatically and
+    different specs never collide. Checkpoint files from another population, package
     version, checkpoint schema, execution mode or transition table are
     ignored (and reported), never served.
 
     ``mode`` selects the device-day executor: ``"kernel"`` (the full
-    event loop), ``"fast"`` (transition-table replay,
-    :mod:`repro.fleet.fastpath`, with per-device kernel fallback),
-    ``"vector"`` (whole-shard columnar composition over the same
-    table, :mod:`repro.fleet.vector`, same fallback rules), or
-    ``"auto"`` (table-driven at or above
-    :data:`~repro.fleet.fastpath.AUTO_MIN_DEVICES` devices -- vector
-    when numpy is importable, fast otherwise -- kernel below: the
-    table build only amortises over enough device-days).
+    event loop), ``"vector"`` (whole-shard replay from the
+    transition table, :mod:`repro.fleet.vector`, with per-device
+    kernel fallback; numpy or pure-python backend), or ``"auto"``
+    (vector at or above :data:`~repro.fleet.fastpath.AUTO_MIN_DEVICES`
+    devices, kernel below: the table build only amortises over enough
+    device-days).
     """
 
     def __init__(self, population, runner=None, checkpoint_dir=None,
                  verbose=False, mode="kernel", telemetry_dir=None,
                  service_journal=None):
-        if mode not in ("kernel", "fast", "vector", "auto"):
+        if mode not in ("kernel", "vector", "auto"):
             raise ValueError("unknown fleet mode {!r}".format(mode))
         # New run: re-arm the warn-once logs so this run's first
         # fallback/crash of each kind is reported again (satellite of
@@ -349,22 +409,18 @@ class FleetRunner:
         self.requested_mode = mode
         if mode == "auto":
             from repro.fleet.fastpath import AUTO_MIN_DEVICES
-            from repro.fleet.stats import _numpy
 
-            if population.devices < AUTO_MIN_DEVICES:
-                mode = "kernel"
-            else:
-                mode = "vector" if _numpy() is not None else "fast"
+            mode = "vector" if population.devices >= AUTO_MIN_DEVICES \
+                else "kernel"
         self.mode = mode
         if checkpoint_dir is None:
-            suffix = {"fast": "-fast", "vector": "-vector"}.get(
-                self.mode, "")
+            suffix = "-vector" if self.mode == "vector" else ""
             checkpoint_dir = os.path.join(
                 DEFAULT_CHECKPOINT_ROOT,
                 population.fingerprint()[:12] + suffix)
         self.checkpoint_dir = checkpoint_dir
         self.verbose = verbose
-        #: Lazily built transition table (fast mode only): JSON payload
+        #: Lazily built transition table (vector mode only): JSON payload
         #: and fingerprint, shared by every shard dispatch this run.
         self._table_json = None
         self.table_fingerprint = None
@@ -422,7 +478,7 @@ class FleetRunner:
                 or (summary.get("start"), summary.get("stop"))
                 != (start, stop)
                 or summary.get("mode", "kernel") != self.mode
-                or (self.mode in ("fast", "vector")
+                or (self.mode == "vector"
                     and self.table_fingerprint is not None
                     and summary.get("table")
                     != self.table_fingerprint)):
@@ -462,7 +518,7 @@ class FleetRunner:
         return "shard:{:06d}".format(shard_index)
 
     def _ensure_table(self):
-        """The fast path's transition table JSON, built on first use.
+        """The vector engine's transition table JSON, built on first use.
 
         Probes dispatch through the same grid runner as the shards, so
         a warm result cache makes this a pure load. Building *before*
@@ -494,7 +550,7 @@ class FleetRunner:
         ``quarantined_shards``. Returns the number of shards executed.
         """
         table_json = self._ensure_table() \
-            if self.mode in ("fast", "vector") else None
+            if self.mode == "vector" else None
         pending = self.pending_shards()
         resumed = self.population.shard_count - len(pending)
         self.shards_resumed += resumed
@@ -515,11 +571,11 @@ class FleetRunner:
             specs, labels = [], []
             for shard_index in batch:
                 start, stop = self.population.shard_range(shard_index)
-                if self.mode in ("fast", "vector"):
+                if self.mode == "vector":
                     # The extra kwargs separate table-replayed shard
-                    # results from kernel ones (and fast from vector)
-                    # in the grid cache; a kernel dispatch omits them
-                    # so its cache keys never change.
+                    # results from kernel ones in the grid cache; a
+                    # kernel dispatch omits them so its cache keys
+                    # never change.
                     specs.append(FuncSpec.make(
                         run_shard, population_json=population_json,
                         start=start, stop=stop, mode=self.mode,
@@ -646,7 +702,7 @@ class FleetRunner:
             "checkpoints_rejected": self.checkpoints_rejected,
             "shards_quarantined": self.shards_quarantined,
         }
-        if self.mode in ("fast", "vector"):
+        if self.mode == "vector":
             summary["table_fingerprint"] = self.table_fingerprint or ""
         return summary
 

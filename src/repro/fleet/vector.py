@@ -1,11 +1,12 @@
 """Columnar vectorized fleet engine: whole-shard device-day composition.
 
-The scalar fast path (:mod:`repro.fleet.fastpath`) already replaced the
-event kernel with transition-table arithmetic, but it still walks one
-Python device at a time: sample a ``DeviceSpec``, look up ~20 table
-entries, run ~100 float ops, fold. At 10^6+ devices that loop *is* the
-runtime. This module turns the same arithmetic into struct-of-arrays
-numpy expressions over a whole shard at once:
+The table-replay executor. :mod:`repro.fleet.fastpath` replaced the
+event kernel with transition-table arithmetic (:func:`~repro.fleet.
+fastpath.fast_summary`, one device at a time: sample a ``DeviceSpec``,
+look up ~20 table entries, run ~100 float ops). At 10^6+ devices that
+per-device Python walk *is* the runtime, so this module turns the same
+arithmetic into struct-of-arrays numpy expressions over a whole shard
+at once:
 
 - **Batched sampling** --
   :meth:`~repro.fleet.population.PopulationSpec.sample_columns` draws
@@ -27,50 +28,51 @@ numpy expressions over a whole shard at once:
   (``*1.0``, ``+0.0``), and every expression mirrors the scalar
   operation order, so columnar results are **bit-identical** to
   ``fast_summary`` (IEEE-754 elementwise ops are the same ops).
-- **Batched folding** -- metric arrays feed
-  :meth:`repro.fleet.stats.FleetStats.observe_many` in device-index
-  order, the same per-metric value sequence the scalar fold produces,
-  so shard stats (and therefore reports) stay byte-identical across
-  executors up to the stated tolerance (see below).
+- **Batched folding** -- metric columns feed the shard fold shared
+  with the kernel path (:func:`repro.fleet.shard.fold_shard`), one
+  :meth:`~repro.fleet.stats.FleetStats.observe_many` batch per metric
+  per shard, in device-index order.
 
-Fallback tiering mirrors the scalar fast path exactly: a device with
-an armed fault plan, a missing/crashed probe, or a non-finite
-composition is routed -- alone -- through the kernel
-(:func:`repro.fleet.shard.simulate_device_day`), with the same
-structured one-time warning and the ``fastpath_fallbacks`` counter;
-columnar-composed devices are additionally counted in a new
-``vector_devices`` counter. When numpy is absent (or
+Fallback tiering: a device with an armed fault plan, a scenario app, a
+missing/crashed probe, or a non-finite composition is routed -- alone
+-- through the kernel (:func:`repro.fleet.shard.simulate_device_day`),
+with a structured one-time warning naming the reason
+:func:`~repro.fleet.fastpath._device_guard` gives and the
+``fastpath_fallbacks`` counter; columnar-composed devices are counted
+in ``vector_devices``. When numpy is absent (or
 ``REPRO_FASTPATH_NUMPY=0``), the engine degrades to per-device
 :func:`~repro.fleet.fastpath.fast_summary` calls over the same
 class-resolution cache -- same numbers, scalar speed -- mirroring the
 ``_numpy()`` pattern in :mod:`repro.fleet.stats`.
 
-Accuracy is enforced, not assumed: :func:`cross_validate` compares the
-columnar composition against per-device ``fast_summary`` on a seeded
-random population under the frozen :data:`VECTOR_TOLERANCES` (exact
-for integer metrics, ~1e-9 relative for float powers -- headroom for
-ulp-level divergence only, since both sides iterate shared rails in
-the same sorted order). The kernel anchor is unchanged:
-``fastpath.cross_validate`` still measures fast-vs-kernel under its
-own tolerances, and ``repro fleet --mode vector --cross-validate N``
-runs both.
+The contract is that columnar output equals per-device
+``fast_summary``, exactly, on both backends; the tests enforce it. The
+accuracy anchor is the kernel: ``fastpath.cross_validate`` measures
+table-vs-kernel under its own tolerances, and ``repro fleet --mode
+vector --cross-validate N`` runs it.
 """
 
+from repro.apps.buggy import scenario_families
 from repro.fleet.fastpath import (
     CANONICAL,
     JITTER,
     SHARED_RAILS,
-    TransitionTable,
     _capacity_mj,
+    _device_guard,
     _JITTER_SALT,
     _log_fallback_once,
     _scenario_guard,
     active_seconds,
-    build_table,
     case_env_json,
     fast_summary,
     jitter_unit,
-    validation_population,
+)
+from repro.fleet.shard import (
+    FOLD_COLUMNS,
+    MAX_CRASH_RECORDS,
+    _int_sum,
+    fold_shard,
+    simulate_device_day,
 )
 from repro.fleet.stats import FleetStats, _numpy
 from repro.sim.summary import MAX_BATTERY_LIFE_H
@@ -78,25 +80,6 @@ from repro.sim.summary import MAX_BATTERY_LIFE_H
 #: Shared rails in the fixed order both engines accumulate them
 #: (:func:`fastpath._shared_overlap` iterates ``sorted(rails)``).
 RAIL_ORDER = tuple(sorted(SHARED_RAILS))
-
-#: Frozen per-metric tolerances for vector-vs-scalar cross-validation:
-#: ``abs(vector - fast) <= abs + rel * abs(fast)``. Integer metrics are
-#: exact -- both paths sum the same table ints. Float powers carry a
-#: ~1e-9 relative band: the compositions are designed bit-identical
-#: (same IEEE-754 op sequence), the band is headroom for ulp-level
-#: drift only, never for model error -- that budget lives entirely in
-#: ``fastpath.DEFAULT_TOLERANCES`` against the kernel.
-VECTOR_TOLERANCES = {
-    "system_power_mw": {"rel": 1e-9, "abs": 1e-6},
-    "buggy_power_mw": {"rel": 1e-9, "abs": 1e-6},
-    "battery_life_h": {"rel": 1e-9, "abs": 1e-6},
-    "disruptions": {"rel": 0.0, "abs": 0.0},
-    "renewals": {"rel": 0.0, "abs": 0.0},
-    "deferrals": {"rel": 0.0, "abs": 0.0},
-    "revocations": {"rel": 0.0, "abs": 0.0},
-    "fp_apps": {"rel": 0.0, "abs": 0.0},
-    "fn_apps": {"rel": 0.0, "abs": 0.0},
-}
 
 #: Integer outcome fields read from a normal app's ``active`` probe.
 _NORMAL_INTS = ("disruptions", "renewals", "deferrals", "revocations",
@@ -158,30 +141,23 @@ class _Bank:
 class _ShardClasses:
     """Equivalence-class resolver + probe-constant interner.
 
-    ``resolve(profile, normal_apps, buggy_apps)`` returns either a
-    fallback reason string (mirroring
-    :func:`fastpath._device_guard`'s first-failure message, same probe
-    walk order) or a ``(n_normal, n_buggy, per_mit)`` tuple of bank
-    row ids, with ``per_mit`` aligned to ``self.mitigations`` and each
-    element ``(base_id, normal_ids, buggy_ids)``. Interning happens at
-    the *slot* level: one context per (profile, merged-env,
-    mitigation) holds the base row id and app-name -> row-id maps, so
-    a device's resolve is a handful of string-keyed dict hits however
-    unique its full app mix is (full (profile, mix, env) classes are
-    near-unique at fleet scale, so memoising them would cost more in
-    tuple hashing than it saves).
+    :meth:`resolve_rows` maps a device's ``(profile, normal_apps,
+    buggy_apps)`` to bank row ids, or to None when the table cannot
+    compose it. Interning happens at the *slot* level: one context per
+    (profile, merged-env) holds the per-mitigation base row ids and
+    app-name -> row-id maps, so a device's resolve is a handful of
+    string-keyed dict hits however unique its full app mix is (full
+    (profile, mix, env) classes are near-unique at fleet scale, so
+    memoising them would cost more in tuple hashing than it saves).
     """
 
     def __init__(self, table, mitigations):
         self.table = table
         self.mitigations = tuple(mitigations)
         # One context row per (profile, env): per-mitigation base row
-        # ids plus app-name -> row-id maps (mit-major, used by the
-        # legacy :meth:`resolve` walk).
-        self._contexts = {}
-        # Device-major twin: app-name -> per-mitigation id *tuples*,
-        # so the hot path resolves a device with two comprehensions
-        # total instead of two per mitigation (:meth:`resolve_rows`).
+        # ids plus app-name -> per-mitigation id *tuples*, so the hot
+        # path resolves a device with two comprehensions total instead
+        # of two per mitigation (:meth:`resolve_rows`).
         self._rows = {}
         self.base = _Bank(
             floats=("p_idle", "p_active", "p_awake", "aw_idle",
@@ -202,44 +178,20 @@ class _ShardClasses:
             rails=("sh",))
 
     def _entry(self, kind, name, profile, mitigation, variant, env):
-        """A live table entry, or the guard's reason string."""
-        key = TransitionTable.entry_key(kind, name, profile, mitigation,
-                                        variant, env)
-        entry = self.table.entries.get(key)
-        if entry is None:
-            return "missing-probe:{}".format(key)
-        if entry["crashed"]:
-            return "crashed-probe:{}".format(key)
+        """A live table entry, or None if it is missing or crashed."""
+        entry = self.table.get(kind, name, profile, mitigation, variant,
+                               env)
+        if entry is None or entry["crashed"]:
+            return None
         return entry
-
-    def _context_row(self, profile, env):
-        """The per-(profile, env) context row: one
-        ``[base_id_or_reason, normal_map, mixed_map, fg_map,
-        normal_bad, mixed_bad, fg_bad]`` list per mitigation, in
-        ``self.mitigations`` order -- a single dict hit per device.
-
-        The ``*_map`` dicts hold only successfully interned row ids,
-        so the per-device hot path is a bare ``map[name]``
-        comprehension; names that resolved to a fallback reason live
-        in the ``*_bad`` dicts and surface through the comprehension's
-        ``KeyError`` slow path.
-        """
-        key = (profile, env)
-        ctxs = self._contexts.get(key)
-        if ctxs is None:
-            ctxs = [[self._base_id(profile, env, mitigation),
-                     {}, {}, {}, {}, {}, {}]
-                    for mitigation in self.mitigations]
-            self._contexts[key] = ctxs
-        return ctxs
 
     def _base_id(self, profile, env, mitigation):
         entries = []
         for variant in ("idle", "active", "awake"):
             entry = self._entry("base", "", profile, mitigation,
                                 variant, env)
-            if isinstance(entry, str):
-                return entry
+            if entry is None:
+                return None
             entries.append(entry)
         idle, active, awake = entries
         return self.base.add(
@@ -255,8 +207,8 @@ class _ShardClasses:
         for variant in ("idle", "bg", "active"):
             entry = self._entry("normal", name, profile, mitigation,
                                 variant, env)
-            if isinstance(entry, str):
-                return entry
+            if entry is None:
+                return None
             entries.append(entry)
         idl, bgp, act = entries
         b = self.base
@@ -287,8 +239,8 @@ class _ShardClasses:
         for variant in ("bg_idle", "bg", "bg_awake"):
             entry = self._entry("buggy", case, profile, mitigation,
                                 variant, env)
-            if isinstance(entry, str):
-                return entry
+            if entry is None:
+                return None
             entries.append(entry)
         lo, hi, awk = entries
         b = self.base
@@ -347,8 +299,8 @@ class _ShardClasses:
     def _fg_id(self, case, profile, env, mitigation, base_id):
         entry = self._entry("buggy", case, profile, mitigation,
                             "fg", env)
-        if isinstance(entry, str):
-            return entry
+        if entry is None:
+            return None
         p_active = self.base.floats["p_active"][base_id]
         return self.fg.add(
             {"sys_add": max(
@@ -358,86 +310,19 @@ class _ShardClasses:
             {"sh": [entry["shared_mw"].get(rail, 0.0)
                     for rail in RAIL_ORDER]})
 
-    def resolve(self, profile, normal_apps, buggy_apps):
-        reason = _scenario_guard(buggy_apps)
-        if reason is not None:
-            return reason
-        env = case_env_json(buggy_apps)
-        per_mit = []
-        # Walk probes in _device_guard's order so the first-failure
-        # reason string (and the one-time warning) matches the scalar
-        # fast path's byte for byte. After a context warms up, each
-        # mitigation costs two bare-lookup comprehensions; unseen (or
-        # fallback-reason) names drop to the KeyError slow path.
-        for mitigation, ctx in zip(self.mitigations,
-                                   self._context_row(profile, env)):
-            base_id = ctx[0]
-            if base_id.__class__ is str:
-                return base_id
-            normal_map = ctx[1]
-            try:
-                normal_ids = [normal_map[name] for name in normal_apps]
-            except KeyError:
-                normal_ids = []
-                bad = ctx[4]
-                for name in normal_apps:
-                    nid = normal_map.get(name)
-                    if nid is None:
-                        nid = bad.get(name)
-                        if nid is None:
-                            nid = self._normal_id(name, profile, env,
-                                                  mitigation, base_id)
-                            if nid.__class__ is str:
-                                bad[name] = nid
-                            else:
-                                normal_map[name] = nid
-                        if nid.__class__ is str:
-                            return nid
-                    normal_ids.append(nid)
-            if normal_apps:
-                buggy_map, bad = ctx[2], ctx[5]
-                build = self._mixed_id
-            else:
-                buggy_map, bad = ctx[3], ctx[6]
-                build = self._fg_id
-            try:
-                buggy_ids = [buggy_map[case] for case in buggy_apps]
-            except KeyError:
-                buggy_ids = []
-                for case in buggy_apps:
-                    bid = buggy_map.get(case)
-                    if bid is None:
-                        bid = bad.get(case)
-                        if bid is None:
-                            bid = build(case, profile, env,
-                                        mitigation, base_id)
-                            if bid.__class__ is str:
-                                bad[case] = bid
-                            else:
-                                buggy_map[case] = bid
-                        if bid.__class__ is str:
-                            return bid
-                    buggy_ids.append(bid)
-            per_mit.append((base_id, normal_ids, buggy_ids))
-        return (len(normal_apps), len(buggy_apps), per_mit)
-
     def resolve_rows(self, profile, normal_apps, buggy_apps):
         """Device-major resolve: ``(base_ids, normal_rows,
         buggy_rows)`` -- each element a per-mitigation id tuple -- or
-        the guard's fallback reason string.
+        None when the device cannot be composed from the table (a
+        scenario app, or a missing or crashed probe under any
+        mitigation; :func:`fastpath._device_guard` names the reason).
 
         The maps cache only names that resolved for *every*
         mitigation, so the hot path is two bare-lookup comprehensions
-        per device regardless of the mitigation count. Any device that
-        touches a failing probe is delegated wholesale to
-        :meth:`resolve`, whose mitigation-major walk produces the
-        first-failure reason in :func:`fastpath._device_guard`'s exact
-        order -- name-major caching never has to reason about failure
-        priority across mitigations.
+        per device regardless of the mitigation count.
         """
-        reason = _scenario_guard(buggy_apps)
-        if reason is not None:
-            return reason
+        if _scenario_guard(buggy_apps) is not None:
+            return None
         env = case_env_json(buggy_apps)
         key = (profile, env)
         row = self._rows.get(key)
@@ -445,7 +330,7 @@ class _ShardClasses:
             base = []
             for mitigation in self.mitigations:
                 bid = self._base_id(profile, env, mitigation)
-                if bid.__class__ is str:
+                if bid is None:
                     base = None
                     break
                 base.append(bid)
@@ -454,7 +339,7 @@ class _ShardClasses:
             self._rows[key] = row
         base_ids = row[0]
         if base_ids is None:
-            return self.resolve(profile, normal_apps, buggy_apps)
+            return None
         nmap = row[1]
         bmap = row[2] if normal_apps else row[3]
         try:
@@ -479,7 +364,7 @@ class _ShardClasses:
                 for mi, mitigation in enumerate(self.mitigations):
                     nid = self._normal_id(name, profile, env,
                                           mitigation, base_ids[mi])
-                    if nid.__class__ is str:
+                    if nid is None:
                         ids = None
                         break
                     ids.append(nid)
@@ -493,7 +378,7 @@ class _ShardClasses:
                 for mi, mitigation in enumerate(self.mitigations):
                     bid = build(case, profile, env, mitigation,
                                 base_ids[mi])
-                    if bid.__class__ is str:
+                    if bid is None:
                         ids = None
                         break
                     ids.append(bid)
@@ -502,7 +387,7 @@ class _ShardClasses:
                 else:
                     bmap[case] = tuple(ids)
         if not clean:
-            return self.resolve(profile, normal_apps, buggy_apps)
+            return None
         return (base_ids,
                 [nmap[name] for name in normal_apps],
                 [bmap[case] for case in buggy_apps])
@@ -514,10 +399,11 @@ class _Composition:
     """Per-device metric columns for one composed shard range.
 
     ``data[mitigation][metric]`` is a length-``n`` column (numpy array
-    or plain list) in device-index order; ``vector_rows`` were composed
-    columnar, ``fallback`` maps the rest to their guard reason. Rows in
-    ``fallback`` hold zeros until the caller fills them (replay fills
-    from the kernel; cross-validation skips them).
+    or plain list) in device-index order, one per
+    :data:`~repro.fleet.shard.FOLD_COLUMNS` name; ``vector_rows`` were
+    composed columnar, ``fallback`` maps the rest to their guard
+    reason. Rows in ``fallback`` hold zeros until the caller fills
+    them from the kernel.
     """
 
     __slots__ = ("n", "data", "vector_rows", "fallback")
@@ -528,9 +414,18 @@ class _Composition:
         self.vector_rows = vector_rows
         self.fallback = fallback
 
-    def value(self, mitigation, metric, row):
-        value = self.data[mitigation][metric][row]
-        return value if isinstance(value, (int, float)) else value.item()
+
+def _zero_columns(n, mitigations, np=None):
+    """Zero-filled :data:`~repro.fleet.shard.FOLD_COLUMNS` per
+    mitigation: float64/int64 arrays, or plain lists without numpy."""
+    def zeros(metric):
+        floating = metric in _FLOAT_METRICS
+        if np is None:
+            return [0.0 if floating else 0] * n
+        return np.zeros(n, dtype=np.float64 if floating else np.int64)
+
+    return {m: {metric: zeros(metric) for metric in FOLD_COLUMNS}
+            for m in mitigations}
 
 
 def _jitter_factors(columns, rows, np=None):
@@ -618,8 +513,10 @@ def compose_shard(population, columns, classes, np=None):
             continue
         got = resolve_rows(profiles[row], normal_apps[row],
                            buggy_apps[row])
-        if got.__class__ is str:
-            fallback[row] = got
+        if got is None:
+            # The guard's own probe walk names the first failure.
+            fallback[row] = _device_guard(columns.spec(row, population),
+                                          mitigations, classes.table)
             continue
         nrows = got[1]
         if nrows:
@@ -637,12 +534,7 @@ def compose_shard(population, columns, classes, np=None):
         return _compose_pure(population, columns, classes, rows,
                              fallback)
 
-    data = {m: {metric: np.zeros(n, dtype=np.float64)
-                for metric in _FLOAT_METRICS}
-            for m in mitigations}
-    for m in mitigations:
-        for metric in _INT_METRICS:
-            data[m][metric] = np.zeros(n, dtype=np.int64)
+    data = _zero_columns(n, mitigations, np=np)
     rows = mix_rows + fg_rows
     if not rows:
         return _Composition(n, data, [], fallback)
@@ -929,11 +821,7 @@ def _compose_pure(population, columns, classes, rows, fallback):
     shared class cache. Bitwise-identical numbers, scalar speed."""
     n = len(columns)
     mitigations = classes.mitigations
-    data = {m: {metric: [0.0] * n for metric in _FLOAT_METRICS}
-            for m in mitigations}
-    for m in mitigations:
-        for metric in _INT_METRICS:
-            data[m][metric] = [0] * n
+    data = _zero_columns(n, mitigations)
     table = classes.table
     vector_rows = []
     for row in rows:
@@ -958,29 +846,22 @@ def _compose_pure(population, columns, classes, rows, fallback):
 
 # -- shard replay --------------------------------------------------------------
 
-def _int_sum(values):
-    """Exact integer column sum (``int64.sum()`` or builtin)."""
-    return int(values.sum()) if hasattr(values, "sum") \
-        else int(sum(values))
-
-
 def replay_shard_vector(population, start, stop, table,
                         max_crash_records=None, telemetry=None):
     """Columnar replay of devices [start, stop); kernel fallback per
     device. Returns ``({mitigation: FleetStats}, crashes)``.
 
-    Same observation sequences and counters as
-    :func:`fastpath.replay_shard` (bit-identical stats where both
-    paths compose), plus a ``vector_devices`` counter saying how many
-    device-days went through the columnar engine. ``telemetry`` is the
-    shard's :class:`~repro.telemetry.emit.ShardTelemetry` (or None);
-    the whole shard is folded into it in one batch per mitigation --
-    fallback rows are already overwritten into the columns, so the
-    batch counts every device-day exactly once.
+    The shard folds through :func:`repro.fleet.shard.fold_shard`, the
+    kernel path's fold, one batch per metric, plus three engine
+    counters per mitigation: ``fastpath_devices`` (every device),
+    ``fastpath_fallbacks`` (devices rerouted to the kernel) and
+    ``vector_devices`` (devices composed from the table).
+    ``telemetry`` is the shard's
+    :class:`~repro.telemetry.emit.ShardTelemetry` (or None); the whole
+    shard is folded into it in one batch per mitigation -- fallback
+    rows are already overwritten into the columns, so the batch counts
+    every device-day exactly once.
     """
-    from repro.apps.buggy import scenario_families
-    from repro.fleet.shard import MAX_CRASH_RECORDS, simulate_device_day
-
     if max_crash_records is None:
         max_crash_records = MAX_CRASH_RECORDS
     np = _numpy()
@@ -990,28 +871,24 @@ def replay_shard_vector(population, start, stop, table,
     comp = compose_shard(population, columns, classes, np=np)
     n = comp.n
 
-    # Fallback rows run the kernel (mirroring replay_shard); their
-    # summaries overwrite the zero-filled columns and carry the crash/
-    # fault fields columnar devices never produce.
+    # Fallback rows run the kernel; their summaries overwrite the
+    # zero-filled columns and carry the crash/fault fields columnar
+    # devices never produce.
     fallback_rows = sorted(comp.fallback)
-    crashed_total = {m: 0 for m in mitigations}
-    faults_total = {m: 0 for m in mitigations}
     crashes = []
     for row in fallback_rows:
         _log_fallback_once(comp.fallback[row], columns.index[row])
         device = columns.spec(row, population)
         families = scenario_families(device.buggy_apps)
         if telemetry is not None and families:
-            # One attribution per device-day, matching replay_shard's
-            # per-mitigation observe_families calls.
+            # One attribution per device-day, as the kernel path's
+            # per-mitigation observe_families calls make.
             telemetry.observe_families(families, count=len(mitigations))
         for m in mitigations:
             summary = simulate_device_day(device, m,
                                           population.minutes)
-            for metric in _FLOAT_METRICS + _INT_METRICS:
+            for metric in FOLD_COLUMNS:
                 comp.data[m][metric][row] = summary[metric]
-            crashed_total[m] += summary["crashed"]
-            faults_total[m] += summary["faults_applied"]
             if summary["crashed"] and len(crashes) < max_crash_records:
                 crashes.append({"device": device.index,
                                 "mitigation": m,
@@ -1021,153 +898,17 @@ def replay_shard_vector(population, start, stop, table,
 
     n_fallback = len(fallback_rows)
     n_vector = len(comp.vector_rows)
-    # Scenario devices are always fallback rows (see _scenario_guard),
-    # so scanning every row reproduces replay_shard's per-mitigation
-    # family counters exactly.
-    family_counts = {}
-    for row in range(n):
-        for family in scenario_families(columns.buggy_apps[row]):
-            family_counts[family] = family_counts.get(family, 0) + 1
-    normal_installed = [len(apps) for apps in columns.normal_apps]
-    buggy_installed = [len(apps) for apps in columns.buggy_apps]
-    vanilla_pos = mitigations.index("vanilla")
-    vanilla_buggy = comp.data["vanilla"]["buggy_power_mw"]
-    vanilla_battery = comp.data["vanilla"]["battery_life_h"]
-    waste_mask = None
-    if np is not None:
-        waste_mask = vanilla_buggy > 1e-9
-        safe_vanilla = np.where(waste_mask, vanilla_buggy, 1.0)
-
-    stats = {}
-    for mi, m in enumerate(mitigations):
-        fold = FleetStats()
-        d = comp.data[m]
-        fold.observe_many("battery_life_h", d["battery_life_h"])
-        fold.observe_many("system_power_mw", d["system_power_mw"])
-        fold.observe_many("buggy_power_mw", d["buggy_power_mw"])
-        fold.observe_many("disruptions", d["disruptions"])
-        if m != "vanilla" and mi > vanilla_pos:
-            # Mirrors _fold_device: waste only where the paired
-            # vanilla day wasted anything; delta for every device.
-            # The numpy expressions run the scalar's exact float ops
-            # elementwise (divide/sub), so the observed sequences are
-            # bit-identical to the list-comprehension path.
-            if np is not None:
-                waste = (100.0 * (1.0 - d["buggy_power_mw"]
-                                  / safe_vanilla))[waste_mask]
-                delta = d["battery_life_h"] - vanilla_battery
-            else:
-                buggy = d["buggy_power_mw"]
-                waste = [100.0 * (1.0 - buggy[k] / vanilla_buggy[k])
-                         for k in range(n) if vanilla_buggy[k] > 1e-9]
-                delta = [d["battery_life_h"][k] - vanilla_battery[k]
-                         for k in range(n)]
-            if len(waste):
-                fold.observe_many("waste_reduction_pct", waste)
-            fold.observe_many("battery_delta_h", delta)
-        if m == "leaseos":
-            fold.observe_many("deferrals", d["deferrals"])
-        fold.count("devices", n)
-        for name in ("renewals", "deferrals", "revocations",
-                     "fp_apps", "fn_apps"):
-            fold.count(name, _int_sum(d[name]))
-        fold.count("crashed", crashed_total[m])
-        fold.count("faults_applied", faults_total[m])
-        fold.count("disruptions", _int_sum(d["disruptions"]))
-        fold.count("normal_apps", sum(normal_installed))
-        fold.count("buggy_apps", sum(buggy_installed))
-        fold.count("buggy_devices",
-                   sum(1 for count in buggy_installed if count))
+    stats = {m: FleetStats() for m in mitigations}
+    fold_shard(stats, comp.data, columns.normal_apps, columns.buggy_apps)
+    for m in mitigations:
+        fold = stats[m]
         fold.count("fastpath_devices", n)
         if n_fallback:
             fold.count("fastpath_fallbacks", n_fallback)
-        for family, count in sorted(family_counts.items()):
-            fold.count("scenario:" + family, count)
         fold.count("vector_devices", n_vector)
-        stats[m] = fold
         if telemetry is not None:
-            telemetry.observe_batch(d["system_power_mw"], n,
-                                    crashed_total[m])
+            telemetry.observe_batch(comp.data[m]["system_power_mw"], n,
+                                    _int_sum(comp.data[m]["crashed"]))
     if telemetry is not None and n_vector:
         telemetry.device_done(n_vector)
     return stats, crashes
-
-
-# -- cross-validation ----------------------------------------------------------
-
-def cross_validate(population, n=50, seed=20190451, runner=None,
-                   table=None, tolerances=None):
-    """Columnar engine vs scalar ``fast_summary`` on ``n`` seeded
-    random device-days, under the frozen :data:`VECTOR_TOLERANCES`.
-
-    The scalar fast path is the anchor here -- its own kernel anchor is
-    :func:`fastpath.cross_validate`, and ``repro fleet --mode vector
-    --cross-validate`` runs both. Deterministic; embedded verbatim in
-    the fleet report's provenance block.
-    """
-    if tolerances is None:
-        tolerances = VECTOR_TOLERANCES
-    vpop = validation_population(population, n, seed)
-    if table is None:
-        from repro.experiments.grid import GridRunner
-
-        if runner is None:
-            runner = GridRunner()
-        table = build_table(vpop, runner=runner)
-    np = _numpy()
-    columns = vpop.sample_columns(0, n)
-    classes = _ShardClasses(table, vpop.mitigations)
-    comp = compose_shard(vpop, columns, classes, np=np)
-
-    metrics = {name: {"max_abs_delta": 0.0, "mean_abs_delta": 0.0,
-                      "worst": None}
-               for name in tolerances}
-    violations = []
-    compared = 0
-    for row in comp.vector_rows:
-        device = columns.spec(row, vpop)
-        for mitigation in vpop.mitigations:
-            fast = fast_summary(device, mitigation, table,
-                                vpop.minutes)
-            if fast is None:
-                continue
-            compared += 1
-            for name, tol in tolerances.items():
-                vec = comp.value(mitigation, name, row)
-                delta = abs(vec - fast[name])
-                bound = tol.get("abs", 0.0) + tol.get("rel", 0.0) \
-                    * abs(fast[name])
-                entry = metrics[name]
-                entry["mean_abs_delta"] += delta
-                if delta >= entry["max_abs_delta"]:
-                    entry["max_abs_delta"] = delta
-                    entry["worst"] = {"device": columns.index[row],
-                                      "mitigation": mitigation,
-                                      "fast": fast[name],
-                                      "vector": vec,
-                                      "tolerance": bound}
-                if delta > bound:
-                    violations.append(
-                        {"device": columns.index[row],
-                         "mitigation": mitigation, "metric": name,
-                         "fast": fast[name], "vector": vec,
-                         "delta": delta, "tolerance": bound})
-    for entry in metrics.values():
-        if compared:
-            entry["mean_abs_delta"] /= compared
-    return {
-        "kind": "vector_cross_validation",
-        "backend": "numpy" if np is not None else "python",
-        "n": n,
-        "seed": seed,
-        "minutes": vpop.minutes,
-        "mitigations": list(vpop.mitigations),
-        "device_days_compared": compared,
-        "fallback_devices": len(comp.fallback),
-        "table_fingerprint": table.fingerprint(),
-        "tolerances": tolerances,
-        "metrics": metrics,
-        "violations": violations[:20],
-        "violation_count": len(violations),
-        "pass": not violations,
-    }

@@ -105,7 +105,7 @@ class ShardTelemetry:
                          mode=self.mode)
 
     def observe(self, summary):
-        """Fold one device-day summary (kernel and fast paths)."""
+        """Fold one device-day summary (kernel path)."""
         self.energy.add(summary["system_power_mw"])
         self.device_days += 1
         self.crashed += summary["crashed"]

@@ -60,7 +60,7 @@ EVENT_FIELDS = {
     # the mergeable partial the watch aggregator folds.
     "shard_finished": ("shard", "start", "stop", "mode", "stats",
                        "crashes"),
-    # A fast-path/vector device fell back to the kernel. Gated by the
+    # A table-replayed device fell back to the kernel. Gated by the
     # same one-time-per-reason set as the stderr warning.
     "fallback": ("shard", "reason", "device"),
     # One per *failed* supervisor attempt, recovery or quarantine.

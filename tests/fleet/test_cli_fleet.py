@@ -6,6 +6,8 @@ import os
 
 from contextlib import redirect_stdout
 
+import pytest
+
 from repro.cli import main
 
 
@@ -76,22 +78,24 @@ def test_chaos_replay_exit_zero_on_clean_match(tmp_path):
     assert "matches the original run" in text
 
 
-def test_fleet_cli_fast_path_end_to_end(tmp_path):
-    code, text = _run_cli(_fleet_argv(tmp_path, ["--fast-path"]))
+def test_fleet_cli_vector_end_to_end(tmp_path):
+    code, text = _run_cli(_fleet_argv(tmp_path, ["--mode", "vector"]))
     assert code == 0
     assert "Fleet comparison: 4 devices" in text
-    assert "execution: fast path" in text
+    assert "execution: columnar vector path" in text
     report = json.loads((tmp_path / "fleet.json").read_text())
     execution = report["execution"]
-    assert execution["mode"] == "fast"
-    assert execution["requested_mode"] == "fast"
+    assert execution["mode"] == "vector"
+    assert execution["requested_mode"] == "vector"
     assert len(execution["table_fingerprint"]) == 64
 
 
 def test_fleet_cli_cross_validation_block_and_exit_code(tmp_path):
     code, text = _run_cli(_fleet_argv(
-        tmp_path, ["--fast-path", "--cross-validate", "2"]))
+        tmp_path, ["--mode", "vector", "--cross-validate", "2"]))
     report = json.loads((tmp_path / "fleet.json").read_text())
+    # One check, against the kernel: no second vector-only block.
+    assert "vector_cross_validation" not in report["execution"]
     validation = report["execution"]["cross_validation"]
     assert validation["kind"] == "fastpath_cross_validation"
     assert validation["n"] == 2
@@ -112,8 +116,10 @@ def test_fleet_parser_defaults():
     assert args.minutes == 15.0
     assert args.mode == "kernel"
     assert args.cross_validate == 0
-    fast = build_parser().parse_args(["fleet", "--fast-path"])
-    assert fast.mode == "fast"
+    # The scalar fast executor is gone: its mode and alias are errors.
+    for argv in (["fleet", "--fast-path"], ["fleet", "--mode", "fast"]):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
 
 def test_fleet_excluded_from_all():

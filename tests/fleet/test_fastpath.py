@@ -1,4 +1,9 @@
-"""Fast-path transition table: build, replay, fallback, mode wiring."""
+"""Transition table: build, replay, fallback, mode wiring.
+
+Table replay runs on the vector engine (``mode="vector"``); "fast" in
+a test name means a table-replayed run, as in the ``fastpath_*``
+counters.
+"""
 
 import json
 
@@ -11,15 +16,15 @@ from repro.fleet.fastpath import (
     TransitionTable,
     _device_guard,
     build_table,
+    case_env_json,
     cross_validate,
-    device_env_json,
     fast_summary,
-    replay_shard,
 )
 from repro.fleet.population import PopulationSpec
 from repro.fleet.report import build_report, report_json
 from repro.fleet.shard import FleetRunner, run_shard
 from repro.fleet.stats import FleetStats
+from repro.fleet.vector import replay_shard_vector
 
 #: Small-but-real population shared by the tests below. The table
 #: probes and shard jobs flow through one module-scoped *cached* grid
@@ -47,9 +52,10 @@ def table(grid):
 
 @pytest.fixture(scope="module")
 def fast_full(grid, tmp_path_factory):
-    """One uninterrupted fast-mode run: (runner, merged, report bytes)."""
-    ck = str(tmp_path_factory.mktemp("fleet-fast"))
-    runner = FleetRunner(POP, runner=grid, mode="fast",
+    """One uninterrupted table-replayed run: (runner, merged, report
+    bytes)."""
+    ck = str(tmp_path_factory.mktemp("fleet-vector"))
+    runner = FleetRunner(POP, runner=grid, mode="vector",
                          checkpoint_dir=ck)
     merged = runner.run()
     payload = report_json(build_report(POP, merged))
@@ -66,7 +72,7 @@ def test_entry_key_includes_merged_case_environment():
                                        '{"gps_quality":"urban"}')
     assert plain != pinned
     device = POP.device(0)
-    env = device_env_json(device)
+    env = case_env_json(device.buggy_apps)
     assert env == json.dumps(json.loads(env), sort_keys=True,
                              separators=(",", ":"))
 
@@ -116,7 +122,7 @@ def test_empty_table_routes_every_device_to_kernel():
 # -- replay --------------------------------------------------------------------
 
 def _replay_dicts(population, start, stop, table):
-    stats, crashes = replay_shard(population, start, stop, table)
+    stats, crashes = replay_shard_vector(population, start, stop, table)
     return {name: s.to_dict() for name, s in stats.items()}, crashes
 
 
@@ -143,25 +149,25 @@ def test_replay_bitwise_identical_across_shard_orders(table):
 
 
 def test_fallback_devices_fold_kernel_values(monkeypatch):
-    # Every CHAOS device carries a fault plan, so the fast path must
+    # Every CHAOS device carries a fault plan, so table replay must
     # reroute all of them to the kernel: the *observations* folded are
     # the kernel's own summaries -- digest entries, histogram bins,
     # counters and count/min/max match the kernel shard exactly. The
-    # fold algebra differs by design: fast shards use the batch-merge
-    # fold (the frozen vector-engine contract, one batch per metric
-    # per shard) instead of the kernel's sequential Welford, so
-    # mean/m2 agree to float rounding, not bit-for-bit. Modes never
-    # share checkpoints (they are mode-tagged), so nothing depends on
-    # cross-mode byte equality.
+    # fold algebra differs by design: replayed shards use the
+    # batch-merge fold (one batch per metric per shard) instead of the
+    # kernel's sequential Welford, so mean/m2 agree to float rounding,
+    # not bit-for-bit. Modes never share checkpoints (they are
+    # mode-tagged), so nothing depends on cross-mode byte equality.
     monkeypatch.setattr(fastpath, "_LOGGED_FALLBACKS", set())
     empty = TransitionTable(CHAOS.minutes)
-    stats, crashes = replay_shard(CHAOS, 0, 2, empty)
+    stats, crashes = replay_shard_vector(CHAOS, 0, 2, empty)
     kernel = run_shard(CHAOS.to_json(), 0, 2)
     assert crashes == kernel["crashes"]
     for name in CHAOS.mitigations:
         fast = stats[name].to_dict()
         assert fast["counters"].pop("fastpath_devices") == 2
         assert fast["counters"].pop("fastpath_fallbacks") == 2
+        assert fast["counters"].pop("vector_devices") == 0
         want = kernel["stats"][name]
         assert fast["counters"] == want["counters"]
         assert set(fast["metrics"]) == set(want["metrics"])
@@ -180,7 +186,7 @@ def test_fallback_devices_fold_kernel_values(monkeypatch):
 
 def test_fallback_warns_once_per_reason_structured(monkeypatch, capsys):
     monkeypatch.setattr(fastpath, "_LOGGED_FALLBACKS", set())
-    replay_shard(CHAOS, 0, 2, TransitionTable(CHAOS.minutes))
+    replay_shard_vector(CHAOS, 0, 2, TransitionTable(CHAOS.minutes))
     lines = [line for line in capsys.readouterr().err.splitlines()
              if "fastpath_fallback" in line]
     # Two devices fell back for the same reason: one warning, not two.
@@ -198,20 +204,21 @@ def test_fast_run_counts_devices_and_reports_table(fast_full):
         counters = merged[name].counters
         assert counters["devices"] == POP.devices
         assert counters["fastpath_devices"] == POP.devices
+        assert counters["vector_devices"] == POP.devices
         assert counters.get("fastpath_fallbacks", 0) == 0
     summary = runner.run_summary()
-    assert summary["mode"] == "fast"
+    assert summary["mode"] == "vector"
     assert summary["table_fingerprint"] == runner.table_fingerprint
     assert len(runner.table_fingerprint) == 64
 
 
 def test_fast_run_resumes_byte_identical(fast_full, grid, tmp_path):
     __, __, uninterrupted = fast_full
-    ck = str(tmp_path / "fleet-fast-resume")
-    first = FleetRunner(POP, runner=grid, mode="fast",
+    ck = str(tmp_path / "fleet-vector-resume")
+    first = FleetRunner(POP, runner=grid, mode="vector",
                         checkpoint_dir=ck)
     assert first.run(limit=1) is None
-    second = FleetRunner(POP, runner=grid, mode="fast",
+    second = FleetRunner(POP, runner=grid, mode="vector",
                          checkpoint_dir=ck)
     merged = second.run()
     assert second.shards_resumed == 1
@@ -221,15 +228,15 @@ def test_fast_run_resumes_byte_identical(fast_full, grid, tmp_path):
 def test_mode_mismatched_checkpoints_rejected(fast_full, grid,
                                               tmp_path):
     fast_runner, __, __ = fast_full
-    # A fast-mode runner must not serve kernel checkpoints...
+    # A vector-mode runner must not serve kernel checkpoints...
     ck = str(tmp_path / "fleet-kernel")
     kernel_runner = FleetRunner(POP, runner=grid, checkpoint_dir=ck)
     kernel_runner.run_shards(limit=1)
-    probe = FleetRunner(POP, runner=grid, mode="fast",
+    probe = FleetRunner(POP, runner=grid, mode="vector",
                         checkpoint_dir=ck)
     assert probe.pending_shards() == list(range(POP.shard_count))
     assert 0 in probe.rejected_shards
-    # ... and a kernel runner must not serve fast ones.
+    # ... and a kernel runner must not serve vector ones.
     probe = FleetRunner(POP, runner=grid,
                         checkpoint_dir=fast_runner.checkpoint_dir)
     assert probe.pending_shards() == list(range(POP.shard_count))
@@ -243,22 +250,22 @@ def test_fast_and_kernel_shards_never_share_cache_keys(table):
                                 start=0, stop=2)
     fast_spec = FuncSpec.make(run_shard,
                               population_json=population_json,
-                              start=0, stop=2, mode="fast",
+                              start=0, stop=2, mode="vector",
                               table_json=table.to_json())
-    # The kernel dispatch omits the fast kwargs entirely, so its cache
-    # keys are byte-identical to what they were before the fast path
+    # The kernel dispatch omits the table kwargs entirely, so its cache
+    # keys are byte-identical to what they were before table replay
     # existed.
     assert dict(kernel_spec.kwargs).keys() == \
         {"population_json", "start", "stop"}
     cache = ResultCache(directory="unused-for-key-derivation", salt="")
     assert cache.key_for(kernel_spec) != cache.key_for(fast_spec)
-    # A different table means different fast keys too.
+    # A different table means different replay keys too.
     other = TransitionTable.from_json(table.to_json())
     key = sorted(other.entries)[0]
     other.entries[key] = dict(other.entries[key], system_power_mw=1.0)
     other_spec = FuncSpec.make(run_shard,
                                population_json=population_json,
-                               start=0, stop=2, mode="fast",
+                               start=0, stop=2, mode="vector",
                                table_json=other.to_json())
     assert cache.key_for(fast_spec) != cache.key_for(other_spec)
 
@@ -269,15 +276,15 @@ def test_auto_mode_resolves_on_population_size():
     big_pop = PopulationSpec(seed=1, devices=AUTO_MIN_DEVICES,
                              shard_size=128)
     big = FleetRunner(big_pop, mode="auto")
-    # Auto resolves to the columnar engine when numpy is importable
-    # and degrades to the scalar fast path otherwise.
-    from repro.fleet.stats import _numpy
-
-    expected = "vector" if _numpy() is not None else "fast"
-    assert (big.requested_mode, big.mode) == ("auto", expected)
-    assert big.checkpoint_dir.endswith("-" + expected)
-    with pytest.raises(ValueError):
-        FleetRunner(POP, mode="warp")
+    # Auto resolves to the vector engine whether or not numpy is
+    # importable: without it the engine runs its pure-python backend.
+    assert (big.requested_mode, big.mode) == ("auto", "vector")
+    assert big.checkpoint_dir.endswith("-vector")
+    for mode in ("warp", "fast"):
+        with pytest.raises(ValueError):
+            FleetRunner(POP, mode=mode)
+        with pytest.raises(ValueError):
+            run_shard(POP.to_json(), 0, 2, mode=mode)
 
 
 # -- cross-validation ----------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Columnar vector engine: sampling parity, bitwise replay, fallbacks.
+"""Columnar vector engine: sampling parity, exact composition, fallbacks.
 
-The contract under test is strong: for every device the columnar
-composition must be *bit-identical* to the scalar fast path (same
-IEEE-754 op sequence), the pure-python backend must match the numpy
-backend byte for byte, and every fallback tier (fault plans, missing
-probes, non-finite compositions) must route through the kernel with
-the scalar path's exact reason strings and counters.
+The contract under test is strong: for every composed device the
+columnar composition must *equal* per-device ``fast_summary`` (same
+IEEE-754 op sequence) on both backends, the pure-python backend must
+match the numpy backend byte for byte, and every fallback tier (fault
+plans, missing probes, non-finite compositions) must route through the
+kernel with the guard's exact reason strings, folding the kernel's own
+device-day values.
 """
 
 import json
@@ -17,18 +18,23 @@ from repro.experiments.grid import GridRunner
 from repro.fleet import fastpath
 from repro.fleet.fastpath import (
     JITTER,
+    _device_guard,
     build_table,
+    fast_summary,
     jitter_unit,
-    replay_shard,
 )
 from repro.fleet.population import PopulationSpec
-from repro.fleet.shard import FleetRunner
+from repro.fleet.shard import (
+    FOLD_COLUMNS,
+    FleetRunner,
+    fold_shard,
+    simulate_device_day,
+)
 from repro.fleet.stats import FleetStats, numpy_backend
 from repro.fleet.vector import (
     _jitter_factors,
     _ShardClasses,
     compose_shard,
-    cross_validate,
     replay_shard_vector,
 )
 
@@ -65,30 +71,83 @@ def fg_table(grid):
     return build_table(FG, runner=grid)
 
 
-def _stats_dicts(stats, drop_vector_counter=False):
-    out = {}
-    for name, fold in stats.items():
-        data = fold.to_dict()
-        if drop_vector_counter:
-            data["counters"].pop("vector_devices", None)
-        out[name] = data
-    return json.dumps(out, sort_keys=True)
+def _stats_dicts(stats):
+    return json.dumps({name: fold.to_dict()
+                       for name, fold in stats.items()}, sort_keys=True)
 
 
-def _assert_bitwise_match(population, table, start=None, stop=None):
-    """Fast and vector replays agree byte-for-byte on a range."""
+def _backends():
+    """Every composition backend available here: numpy (if importable)
+    and pure python."""
+    np = numpy_backend()
+    return (None,) if np is None else (np, None)
+
+
+def _assert_columns_match_fast_summary(population, table, start=None,
+                                       stop=None):
+    """Composed columns equal per-device ``fast_summary`` exactly, and
+    every other row is a fallback carrying the guard's reason; on
+    every backend. Returns the fallback map."""
     if start is None:
         start, stop = 0, population.devices
-    fastpath.reset_fallback_warnings()
-    fast_stats, fast_crashes = replay_shard(population, start, stop,
-                                            table)
-    fastpath.reset_fallback_warnings()
-    vec_stats, vec_crashes = replay_shard_vector(population, start,
-                                                 stop, table)
-    assert _stats_dicts(fast_stats) == _stats_dicts(
-        vec_stats, drop_vector_counter=True)
-    assert fast_crashes == vec_crashes
-    return vec_stats
+    columns = population.sample_columns(start, stop)
+    fallbacks = []
+    for np in _backends():
+        classes = _ShardClasses(table, population.mitigations)
+        comp = compose_shard(population, columns, classes, np=np)
+        assert sorted(comp.vector_rows + list(comp.fallback)) \
+            == list(range(len(columns)))
+        for row in range(len(columns)):
+            device = columns.spec(row, population)
+            reason = _device_guard(device, population.mitigations, table)
+            days = {} if reason else {
+                m: fast_summary(device, m, table, population.minutes)
+                for m in population.mitigations}
+            if None in days.values():
+                reason = "non-finite-composition"
+            assert comp.fallback.get(row) == reason
+            if reason is not None:
+                continue
+            for m, want in days.items():
+                got = {metric: comp.data[m][metric][row]
+                       for metric in FOLD_COLUMNS}
+                assert got == {metric: want[metric]
+                               for metric in FOLD_COLUMNS}
+        fallbacks.append(comp.fallback)
+    assert all(fallback == fallbacks[0] for fallback in fallbacks)
+    return fallbacks[0]
+
+
+def _oracle_stats(population, table, start, stop):
+    """The replay's expected shard stats, from the oracles alone: each
+    device's ``fast_summary`` days, or its kernel
+    ``simulate_device_day`` days where the guard (or the composition)
+    rejects it, through the shared fold, plus the engine counters."""
+    devices = list(population.devices_in(start, stop))
+    columns = {m: {metric: [] for metric in FOLD_COLUMNS}
+               for m in population.mitigations}
+    fallbacks = 0
+    for device in devices:
+        days = {}
+        if _device_guard(device, population.mitigations, table) is None:
+            days = {m: fast_summary(device, m, table, population.minutes)
+                    for m in population.mitigations}
+        if not days or None in days.values():
+            fallbacks += 1
+            days = {m: simulate_device_day(device, m, population.minutes)
+                    for m in population.mitigations}
+        for m, day in days.items():
+            for metric in FOLD_COLUMNS:
+                columns[m][metric].append(day[metric])
+    stats = {m: FleetStats() for m in population.mitigations}
+    fold_shard(stats, columns, [d.normal_apps for d in devices],
+               [d.buggy_apps for d in devices])
+    for fold in stats.values():
+        fold.count("fastpath_devices", len(devices))
+        if fallbacks:
+            fold.count("fastpath_fallbacks", fallbacks)
+        fold.count("vector_devices", len(devices) - fallbacks)
+    return stats
 
 
 # -- batched sampling ----------------------------------------------------------
@@ -124,10 +183,15 @@ def test_jitter_factors_bitwise_across_backends():
         assert [float(v) for v in vec] == expected
 
 
-# -- bitwise replay equivalence ------------------------------------------------
+# -- exact composition ---------------------------------------------------------
 
 def test_vector_replay_matches_fast_bitwise(table):
-    vec_stats = _assert_bitwise_match(POP, table)
+    assert _assert_columns_match_fast_summary(POP, table) == {}
+    fastpath.reset_fallback_warnings()
+    vec_stats, crashes = replay_shard_vector(POP, 0, POP.devices, table)
+    assert crashes == []
+    assert _stats_dicts(vec_stats) \
+        == _stats_dicts(_oracle_stats(POP, table, 0, POP.devices))
     for name in POP.mitigations:
         counters = vec_stats[name].counters
         assert counters["vector_devices"] == POP.devices
@@ -135,7 +199,9 @@ def test_vector_replay_matches_fast_bitwise(table):
 
 
 def test_all_buggy_population_composes_columnar(fg_table):
-    vec_stats = _assert_bitwise_match(FG, fg_table)
+    assert _assert_columns_match_fast_summary(FG, fg_table) == {}
+    fastpath.reset_fallback_warnings()
+    vec_stats, __ = replay_shard_vector(FG, 0, FG.devices, fg_table)
     for name in FG.mitigations:
         assert vec_stats[name].counters["vector_devices"] == FG.devices
 
@@ -147,8 +213,6 @@ def test_pure_python_backend_is_byte_identical(table, monkeypatch):
     fastpath.reset_fallback_warnings()
     pure, __ = replay_shard_vector(POP, 0, POP.devices, table)
     assert _stats_dicts(with_numpy) == _stats_dicts(pure)
-    monkeypatch.delenv("REPRO_FASTPATH_NUMPY")
-    _assert_bitwise_match(POP, table)
 
 
 @settings(max_examples=10, deadline=None)
@@ -156,7 +220,7 @@ def test_pure_python_backend_is_byte_identical(table, monkeypatch):
 def test_any_shard_range_replays_identically(table, data):
     start = data.draw(st.integers(0, POP.devices - 1))
     stop = data.draw(st.integers(start + 1, POP.devices))
-    _assert_bitwise_match(POP, table, start, stop)
+    _assert_columns_match_fast_summary(POP, table, start, stop)
 
 
 # -- fallback tiers ------------------------------------------------------------
@@ -177,15 +241,21 @@ def test_fault_plans_route_every_device_to_kernel(table, capsys):
     assert capsys.readouterr().err.count("fault-plan-armed") == 1
 
 
-def test_chaos_replay_still_matches_fast_bitwise(table):
-    _assert_bitwise_match(CHAOS, table)
+def test_chaos_replay_folds_kernel_days_bitwise(table):
+    # Every CHAOS device falls back: the replay folds the kernel's own
+    # simulate_device_day values, one batch per metric, bit for bit.
+    fastpath.reset_fallback_warnings()
+    vec_stats, __ = replay_shard_vector(CHAOS, 0, CHAOS.devices, table)
+    assert _stats_dicts(vec_stats) \
+        == _stats_dicts(_oracle_stats(CHAOS, table, 0, CHAOS.devices))
 
 
 def test_missing_probes_fall_back_per_device(table):
     # Cripple the table: every probe of device 0's first normal app
     # disappears, so exactly the devices carrying that app fall back
     # (with the guard's missing-probe reason) while the rest stay
-    # columnar -- and the stats still match the fast path bitwise.
+    # columnar -- composed rows still equal fast_summary, fallback rows
+    # fold the kernel's own days.
     crippled = fastpath.TransitionTable.from_json(table.to_json())
     victim = POP.device(0).normal_apps[0]
     dropped = [key for key in crippled.entries
@@ -193,7 +263,13 @@ def test_missing_probes_fall_back_per_device(table):
     assert dropped
     for key in dropped:
         del crippled.entries[key]
-    vec_stats = _assert_bitwise_match(POP, crippled)
+    fallback = _assert_columns_match_fast_summary(POP, crippled)
+    assert all(reason.startswith("missing-probe:normal|{}|".format(
+        victim)) for reason in fallback.values())
+    fastpath.reset_fallback_warnings()
+    vec_stats, __ = replay_shard_vector(POP, 0, POP.devices, crippled)
+    assert _stats_dicts(vec_stats) \
+        == _stats_dicts(_oracle_stats(POP, crippled, 0, POP.devices))
     carriers = sum(1 for index in range(POP.devices)
                    if victim in POP.device(index).normal_apps)
     for name in POP.mitigations:
@@ -203,38 +279,29 @@ def test_missing_probes_fall_back_per_device(table):
     assert 0 < carriers < POP.devices
 
 
+def test_fallback_reasons_follow_the_guard_walk(table):
+    # Knock out and crash probes across every kind and mitigation: each
+    # rejected device carries the guard's first failure in its own
+    # probe order.
+    crippled = fastpath.TransitionTable.from_json(table.to_json())
+    keys = sorted(crippled.entries)
+    for key in keys[::5]:
+        del crippled.entries[key]
+    for key in keys[2::7]:
+        if key in crippled.entries:
+            crippled.entries[key] = dict(crippled.entries[key], crashed=1)
+    fallback = _assert_columns_match_fast_summary(POP, crippled)
+    reasons = set(fallback.values())
+    assert any(r.startswith("missing-probe:") for r in reasons)
+    assert any(r.startswith("crashed-probe:") for r in reasons)
+
+
 def test_compose_shard_reports_fallback_reasons(table):
     columns = CHAOS.sample_columns(0, CHAOS.devices)
     classes = _ShardClasses(table, CHAOS.mitigations)
     comp = compose_shard(CHAOS, columns, classes, np=numpy_backend())
     assert comp.vector_rows == []
     assert set(comp.fallback.values()) == {"fault-plan-armed"}
-
-
-# -- cross-validation ----------------------------------------------------------
-
-def test_cross_validate_is_exact_and_deterministic(grid):
-    first = cross_validate(POP, n=3, runner=grid)
-    assert first["kind"] == "vector_cross_validation"
-    assert first["pass"], first["violations"]
-    assert first["device_days_compared"] > 0
-    # The columnar composition is designed bit-identical, and this is
-    # where that claim is enforced: zero delta, not merely in-band.
-    for entry in first["metrics"].values():
-        assert entry["max_abs_delta"] == 0.0
-        assert entry["mean_abs_delta"] == 0.0
-    second = cross_validate(POP, n=3, runner=grid)
-    assert json.dumps(first, sort_keys=True) \
-        == json.dumps(second, sort_keys=True)
-
-
-def test_cross_validate_pure_backend(grid, monkeypatch):
-    monkeypatch.setenv("REPRO_FASTPATH_NUMPY", "0")
-    result = cross_validate(POP, n=2, runner=grid)
-    assert result["backend"] == "python"
-    assert result["pass"], result["violations"]
-    for entry in result["metrics"].values():
-        assert entry["max_abs_delta"] == 0.0
 
 
 # -- batch folds ---------------------------------------------------------------

@@ -1,12 +1,11 @@
-"""Scenario devices across the three shard executors.
+"""Scenario devices across the two shard executors.
 
-Scenario cases always run on the event kernel -- the fast/vector
-engines' transition-table composition was never validated against
-generated families -- so the contract under test is: (a) both
-accelerated engines route scenario devices to the kernel fallback, (b)
-all three executors produce identical metric stats and identical
-``scenario:<family>`` counters, and (c) telemetry snapshots carry the
-family histogram exactly when scenarios are present.
+Scenario cases always run on the event kernel -- the vector engine's
+transition-table composition was never validated against generated
+families -- so the contract under test is: (a) table replay routes
+scenario devices to the kernel fallback, (b) both executors produce
+identical ``scenario:<family>`` counters, and (c) telemetry snapshots
+carry the family histogram exactly when scenarios are present.
 """
 
 from repro.fleet.fastpath import (
@@ -67,26 +66,20 @@ def test_executors_agree_on_scenario_devices():
     table_json = build_table(population).to_json()
     reset_fallback_warnings()
     kernel = run_shard(population.to_json(), 0, 8)
-    fast = run_shard(population.to_json(), 0, 8, mode="fast",
-                     table_json=table_json)
     vector = run_shard(population.to_json(), 0, 8, mode="vector",
                        table_json=table_json)
     for mitigation in population.mitigations:
-        k, f, v = (run["stats"][mitigation]
-                   for run in (kernel, fast, vector))
-        # The family counters are exact on every executor (scenario
+        k, v = (run["stats"][mitigation] for run in (kernel, vector))
+        # The family counters are exact on both executors (scenario
         # days always run on the kernel, whatever the mode).
-        assert _scenario_counters(k) == _scenario_counters(f) \
-            == _scenario_counters(v)
+        assert _scenario_counters(k) == _scenario_counters(v)
         assert sum(_scenario_counters(k).values()) == n_family_days
-        # Vector is bit-identical to the scalar fast path -- metrics
-        # and counters -- apart from its own vector_devices counter.
-        assert v["metrics"] == f["metrics"]
-        assert {name: count for name, count in v["counters"].items()
-                if name != "vector_devices"} == f["counters"]
-        # Every scenario device fell back to the kernel on both.
-        assert f["counters"]["fastpath_fallbacks"] >= n_scenario
+        # Every device is counted once; every scenario device fell
+        # back to the kernel, and the rest were composed columnar.
+        assert v["counters"]["devices"] == k["counters"]["devices"] == 8
         assert v["counters"]["fastpath_fallbacks"] >= n_scenario
+        assert v["counters"]["fastpath_fallbacks"] \
+            + v["counters"]["vector_devices"] == 8
 
 
 def test_telemetry_snapshots_carry_family_histogram(tmp_path,

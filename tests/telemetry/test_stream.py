@@ -99,7 +99,7 @@ def test_fallback_events_share_the_warn_once_gate(tmp_path,
     monkeypatch.setenv(ENV_DIR, str(tmp_path))
     monkeypatch.setenv(ENV_FP, POP.fingerprint()[:12])
     reset_fallback_warnings()
-    telem = shard_telemetry(POP, 0, 0, 3, "fast")
+    telem = shard_telemetry(POP, 0, 0, 3, "vector")
     try:
         _log_fallback_once("fault-plan-armed", 0)
         _log_fallback_once("fault-plan-armed", 1)
