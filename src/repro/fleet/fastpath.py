@@ -797,16 +797,14 @@ def reset_fallback_warnings():
 
 
 def _log_fallback_once(reason, device_index):
-    first = reason not in _LOGGED_FALLBACKS
-    # The telemetry fallback event shares this one-time-per-reason
-    # gate: the stream stays O(reasons), while every occurrence still
-    # lands in the shard's fallback counter.
+    # Every occurrence is counted in the shard's telemetry, which gates
+    # its event per shard; the stderr warning is gated per process.
     from repro.telemetry.emit import active_shard_telemetry
 
     telem = active_shard_telemetry()
     if telem is not None:
-        telem.fallback(reason, device_index, emit=first)
-    if not first:
+        telem.fallback(reason, device_index)
+    if reason in _LOGGED_FALLBACKS:
         return
     _LOGGED_FALLBACKS.add(reason)
     print(json.dumps(

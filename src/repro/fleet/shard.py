@@ -635,8 +635,11 @@ class FleetRunner:
                                    shards_resumed=resumed)
 
     def _export_telemetry_env(self):
-        """Export the stream location for shard workers (forked per
-        batch/attempt, so they inherit it); returns the saved values.
+        """Export the stream location for shard workers; returns the
+        saved values. Workers inherit it because they are forked during
+        the dispatch this brackets: a supervised worker lives for one
+        ``Supervisor.execute`` call, so none is left over from the
+        table build, which runs before the export.
 
         Environment, not kwargs: a telemetry kwarg on ``run_shard``
         would change every shard's content-addressed cache key."""

@@ -2,9 +2,21 @@
 
 Wraps every dispatched grid/fleet job in a supervised attempt loop:
 
-- **watchdog** -- each attempt runs in its own worker process with a
-  wall-clock deadline; a hung worker is killed and the attempt becomes
-  a structured :class:`~repro.resilience.errors.JobTimeout`;
+- **worker lifecycle** -- attempts run in forked worker processes, at
+  most ``workers`` live at a time. A worker receives one attempt per
+  message over its duplex pipe and, while it stays healthy, waits for
+  the next one instead of exiting: a batch forks once per worker, not
+  once per job. Any failed attempt (error, budget abort, crash,
+  timeout) retires its worker, so every retry starts on a fresh fork.
+  A worker never outlives the :meth:`Supervisor.execute` call that
+  forked it: idle workers are told to stop when the call returns or
+  is interrupted, so the next call's workers inherit the environment
+  of that call. Each worker closes its inherited copy of the
+  supervisor's end of its pipe, so a supervisor killed outright leaves
+  its idle workers at EOF instead of blocked in ``recv`` forever;
+- **watchdog** -- each attempt has a wall-clock deadline; a hung
+  worker is killed and the attempt becomes a structured
+  :class:`~repro.resilience.errors.JobTimeout`;
 - **crash isolation** -- a worker that dies (segfault, ``os._exit``,
   OOM kill) takes down only its own job; the attempt becomes a
   :class:`~repro.resilience.errors.WorkerCrash` and the job is requeued
@@ -19,8 +31,9 @@ Wraps every dispatched grid/fleet job in a supervised attempt loop:
   the rest of the run completes. ``fail_fast=True`` restores
   stop-on-first-quarantine semantics;
 - **runaway budgets** -- an optional :class:`~repro.sim.engine.
-  RunBudget` is armed ambiently inside each worker, so a simulation
-  that would spin forever aborts with kernel diagnostics instead.
+  RunBudget` is armed ambiently, fresh for each attempt, so a
+  simulation that would spin forever aborts with kernel diagnostics
+  instead.
 
 When worker processes are unavailable (sandboxes without
 ``/dev/shm``, restricted seccomp profiles) the supervisor degrades to
@@ -32,6 +45,7 @@ wall-clock deadline is enforced by fusing it into the ambient
 outside the sim kernel cannot be preempted without a process).
 """
 
+import gc
 import sys
 import time
 import traceback
@@ -55,7 +69,7 @@ from repro.resilience.manifest import (
     seed_of,
 )
 from repro.resilience.policy import RetryPolicy
-from repro.sim.engine import RunBudget, set_ambient_budget
+from repro.sim.engine import RunBudget, ambient_budget, set_ambient_budget
 
 #: Grace period between SIGTERM and SIGKILL when reaping a worker.
 _KILL_GRACE_S = 2.0
@@ -64,38 +78,63 @@ _KILL_GRACE_S = 2.0
 _MAX_WAIT_S = 0.2
 
 
-def _worker_main(conn, spec, label, attempt, budget_limits, faults_json):
-    """Entry point of one supervised attempt in a worker process.
+def _worker_loop(conn, supervisor_end, sim_budget, faults):
+    """Entry point of a supervised worker process.
 
-    Applies any matching harness fault first (which may never return),
-    arms the ambient runaway budget, runs the spec, and ships either
-    ``("ok", result)`` or ``("error", type, message, traceback)`` back
-    through the pipe. A crash before the send is what the parent
-    observes as EOF + a dead process.
+    Runs one attempt per ``(label, attempt, spec)`` message until it
+    receives ``None``, its pipe reaches EOF, or an attempt fails: a
+    failed attempt retires the worker. Ctrl-C (or the supervisor's
+    SIGTERM) while idle ends it quietly.
     """
     try:
-        if faults_json:
-            apply_in_worker(HarnessFaults.from_json(faults_json),
-                            label, attempt)
-        if budget_limits:
-            set_ambient_budget(RunBudget(**budget_limits))
-        result = spec.execute()
-        try:
-            conn.send(("ok", result))
-        except Exception as exc:  # unpicklable result: a structured error
-            conn.send(("error", type(exc).__name__,
-                       "result not sendable: {}".format(exc), ""))
-    except BaseException as exc:  # noqa: BLE001 -- becomes a record
-        try:
-            conn.send(("error", type(exc).__name__, str(exc),
-                       traceback.format_exc()))
-        except Exception:
-            pass
+        # Without this, the copy inherited by fork keeps the pipe open
+        # after the supervisor is SIGKILLed: recv() would never see EOF.
+        supervisor_end.close()
+        # Everything alive now came from the supervisor; frozen, it is
+        # left out of the per-attempt collections.
+        gc.freeze()
+        while True:
+            message = conn.recv()
+            if message is None or not _attempt_in_worker(
+                    conn, sim_budget, faults, *message):
+                break
+    except (EOFError, OSError, KeyboardInterrupt):
+        pass
     finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
+        conn.close()
+
+
+def _attempt_in_worker(conn, sim_budget, faults, label, attempt, spec):
+    """One attempt in a worker; True when it succeeded.
+
+    Applies any matching harness fault first (which may never return),
+    arms a fresh ambient runaway budget, runs the spec, and ships either
+    ``("ok", result)`` or ``("error", type, message, traceback)`` back
+    through the pipe. A crash before the send is what the supervisor
+    observes as EOF + a dead process. Afterwards the job leaves the
+    process as a fresh fork would find it: the ambient budget is reset
+    and the job's cyclic garbage is collected, as process exit used to.
+    """
+    previous = ambient_budget()
+    try:
+        if faults:
+            apply_in_worker(faults, label, attempt)
+        if sim_budget is not None:
+            set_ambient_budget(sim_budget.fresh())
+        reply = ("ok", spec.execute())
+    except BaseException as exc:  # noqa: BLE001 -- becomes the reply
+        reply = ("error", type(exc).__name__, str(exc),
+                 traceback.format_exc())
+    finally:
+        set_ambient_budget(previous)
+    try:
+        conn.send(reply)
+    except Exception as exc:  # unpicklable result: a structured error
+        reply = ("error", type(exc).__name__,
+                 "result not sendable: {}".format(exc), "")
+        conn.send(reply)
+    gc.collect()
+    return reply[0] == "ok"
 
 
 @dataclass
@@ -132,17 +171,17 @@ class _Job:
         self.records = []
 
 
-class _Attempt:
-    """One live worker attempt (process mode)."""
+class _Worker:
+    """One live worker process and the attempt it runs, if any."""
 
-    __slots__ = ("job", "proc", "conn", "started", "deadline")
+    __slots__ = ("proc", "conn", "job", "started", "deadline")
 
-    def __init__(self, job, proc, conn, started, deadline):
-        self.job = job
+    def __init__(self, proc, conn):
         self.proc = proc
         self.conn = conn
-        self.started = started
-        self.deadline = deadline
+        self.job = None
+        self.started = None
+        self.deadline = None
 
 
 class _Failure:
@@ -197,6 +236,13 @@ class Supervisor:
     ``REPRO_HARNESS_FAULTS`` carries. ``mode``: ``"auto"`` uses worker
     processes when the platform allows and falls back to serial
     in-process attempts; ``"serial"``/``"process"`` force one.
+
+    In process mode, :meth:`execute` forks up to ``workers`` worker
+    processes and hands each new attempt to an idle one, forking only
+    when none is left. A worker that reports a failure, crashes or
+    times out is retired (its retry runs on a fresh fork), one that
+    died while idle is replaced without counting an attempt, and the
+    healthy ones are stopped before :meth:`execute` returns.
     """
 
     def __init__(self, job_timeout_s=None, max_retries=2, fail_fast=False,
@@ -310,7 +356,7 @@ class Supervisor:
                 context = multiprocessing.get_context()
             # Probe the pipe transport now so an unusable platform is
             # one cheap failure here, not one per dispatched job.
-            parent, child = context.Pipe(duplex=False)
+            parent, child = context.Pipe()
             parent.close()
             child.close()
         except (ImportError, NotImplementedError, OSError) as exc:
@@ -341,7 +387,8 @@ class Supervisor:
 
         pending = deque(jobs)
         waiting = []  # (eligible_at, job) backoff parking lot
-        active = {}  # conn -> _Attempt
+        active = {}  # conn -> _Worker running an attempt
+        idle = []  # healthy workers waiting for their next attempt
         try:
             while pending or waiting or active:
                 now = time.monotonic()
@@ -354,73 +401,92 @@ class Supervisor:
                             still.append((eligible_at, job))
                     waiting = still
                 while pending and len(active) < workers:
-                    attempt = self._launch(pending.popleft())
-                    active[attempt.conn] = attempt
+                    worker = self._dispatch(pending.popleft(), idle)
+                    active[worker.conn] = worker
                 if not active:
                     if waiting:
                         self._sleep(max(0.0, min(e for e, __ in waiting)
                                         - time.monotonic()))
                     continue
                 timeout = _MAX_WAIT_S
-                deadlines = [a.deadline for a in active.values()
-                             if a.deadline is not None]
+                deadlines = [w.deadline for w in active.values()
+                             if w.deadline is not None]
                 if deadlines:
                     timeout = min(timeout, max(0.0, min(deadlines)
                                                - time.monotonic()))
                 for conn in _wait(list(active), timeout=timeout):
-                    self._finish(active.pop(conn), pending, waiting,
+                    self._finish(active.pop(conn), idle, pending, waiting,
                                  results, on_result)
                 now = time.monotonic()
-                for conn, attempt in list(active.items()):
-                    if attempt.deadline is not None \
-                            and now >= attempt.deadline:
+                for conn, worker in list(active.items()):
+                    if worker.deadline is not None \
+                            and now >= worker.deadline:
                         del active[conn]
-                        self._expire(attempt, pending, waiting)
+                        self._expire(worker, pending, waiting)
         except BaseException:
             self._reap(active)
             if pending or waiting or active:
                 self._note_interrupt(results, jobs)
             raise
+        finally:
+            for worker in idle:
+                self._retire(worker)
 
-    def _launch(self, job):
+    def _dispatch(self, job, idle):
+        """Send the job's next attempt to an idle worker, or to a newly
+        forked one when no idle worker is left; returns that worker."""
+        message = (job.label, job.attempt + 1, job.spec)
+        while idle:
+            worker = idle.pop()
+            try:
+                worker.conn.send(message)
+                break
+            except OSError:  # died while idle: replaced, no attempt made
+                self._retire(worker)
+        else:
+            worker = self._fork()
+            try:
+                worker.conn.send(message)
+            except OSError:  # died on start: its EOF becomes the crash
+                pass
         job.attempt += 1
         self.stats.attempts += 1
-        context = self._mp_context
-        parent, child = context.Pipe(duplex=False)
-        budget_limits = self.sim_budget.limits() \
-            if self.sim_budget is not None else None
-        faults_json = self.harness_faults.to_json() \
-            if self.harness_faults else ""
-        proc = context.Process(
-            target=_worker_main,
-            args=(child, job.spec, job.label, job.attempt, budget_limits,
-                  faults_json),
-            daemon=True, name="repro-supervised-{}".format(job.label))
-        proc.start()
-        child.close()
-        started = time.monotonic()
-        deadline = started + self.job_timeout_s \
+        worker.job = job
+        worker.started = time.monotonic()
+        worker.deadline = worker.started + self.job_timeout_s \
             if self.job_timeout_s is not None else None
         if self.verbose:
             print("supervisor: {} attempt {} started (pid {})".format(
-                job.label, job.attempt, proc.pid), file=sys.stderr)
-        return _Attempt(job, proc, parent, started, deadline)
+                job.label, job.attempt, worker.proc.pid), file=sys.stderr)
+        return worker
 
-    def _finish(self, attempt, pending, waiting, results, on_result):
+    def _fork(self):
+        context = self._mp_context
+        conn, child = context.Pipe()
+        proc = context.Process(
+            target=_worker_loop,
+            args=(child, conn, self.sim_budget, self.harness_faults),
+            daemon=True, name="repro-supervised")
+        proc.start()
+        child.close()
+        return _Worker(proc, conn)
+
+    def _finish(self, worker, idle, pending, waiting, results, on_result):
         """A worker's pipe is ready: success, error, or EOF (crash)."""
-        job = attempt.job
-        elapsed = time.monotonic() - attempt.started
+        job = worker.job
+        elapsed = time.monotonic() - worker.started
         try:
-            message = attempt.conn.recv()
+            message = worker.conn.recv()
         except (EOFError, OSError):
             message = None
-        attempt.conn.close()
-        attempt.proc.join(_KILL_GRACE_S)
         if message is not None and message[0] == "ok":
+            worker.job = None
+            idle.append(worker)
             self._succeed(job, message[1], results, on_result)
             return
+        self._retire(worker)
         if message is None:
-            exitcode = attempt.proc.exitcode
+            exitcode = worker.proc.exitcode
             crash = WorkerCrash(job.label, job.attempt, exitcode)
             self.stats.crashes += 1
             failure = _Failure("crash", str(crash))
@@ -431,35 +497,46 @@ class Supervisor:
                                "{}: {}".format(type_name, text), tb)
         self._fail(job, failure, elapsed, pending, waiting)
 
-    def _expire(self, attempt, pending, waiting):
+    def _expire(self, worker, pending, waiting):
         """Deadline passed: kill the worker, record a JobTimeout."""
-        job = attempt.job
-        elapsed = time.monotonic() - attempt.started
-        self._kill(attempt)
+        job = worker.job
+        elapsed = time.monotonic() - worker.started
+        self._kill(worker)
         timeout = JobTimeout(job.label, job.attempt, self.job_timeout_s,
                              elapsed)
         self.stats.timeouts += 1
         self._fail(job, _Failure("timeout", str(timeout)), elapsed,
                    pending, waiting)
 
+    def _kill(self, worker):
+        """Stop a worker in the middle of an attempt (SIGTERM first)."""
+        worker.proc.terminate()
+        self._retire(worker)
+
     @staticmethod
-    def _kill(attempt):
-        attempt.conn.close()
-        proc = attempt.proc
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(_KILL_GRACE_S)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(_KILL_GRACE_S)
+    def _retire(worker):
+        """Stop a worker, SIGKILLing it after a grace period.
+
+        By message, not by closing the pipe: workers forked later
+        inherit this end of it, so closing it here delivers no EOF.
+        """
+        try:
+            worker.conn.send(None)
+        except OSError:  # already gone
+            pass
+        worker.conn.close()
+        worker.proc.join(_KILL_GRACE_S)
+        if worker.proc.is_alive():
+            worker.proc.kill()
+            worker.proc.join(_KILL_GRACE_S)
 
     def _reap(self, active):
-        for attempt in active.values():
-            self._kill(attempt)
-            attempt.job.records.append(AttemptRecord(
-                attempt=attempt.job.attempt, outcome="interrupted",
+        for worker in active.values():
+            self._kill(worker)
+            worker.job.records.append(AttemptRecord(
+                attempt=worker.job.attempt, outcome="interrupted",
                 error="run interrupted while attempt was live",
-                elapsed_s=round(time.monotonic() - attempt.started, 3)))
+                elapsed_s=round(time.monotonic() - worker.started, 3)))
 
     # -- serial mode -------------------------------------------------------
 

@@ -5,8 +5,8 @@ Plumbing is by *environment variable*, never by function kwargs:
 :class:`~repro.experiments.grid.FuncSpec`, so a telemetry kwarg would
 change every shard's cache key and orphan every warm cache. Instead the
 :class:`~repro.fleet.shard.FleetRunner` exports :data:`ENV_DIR` /
-:data:`ENV_FP` around its dispatch; workers (forked per batch or per
-supervised attempt, so they inherit the environment) open their own
+:data:`ENV_FP` around its dispatch; workers (forked within that
+dispatch, so they inherit the environment) open their own
 per-process stream files. A worker whose population fingerprint does
 not match :data:`ENV_FP` stays silent -- a stale variable from an
 unrelated run must never pollute another run's stream.
@@ -95,6 +95,7 @@ class ShardTelemetry:
         #: Scenario family -> device-day count; stays empty (and off
         #: the wire) for catalog-free populations.
         self.families = {}
+        self._fallback_reasons = set()
         self.energy = Moments()
         self._t0 = time.monotonic()
         self._last_progress = None
@@ -126,12 +127,15 @@ class ShardTelemetry:
         self.devices_done += count
         self._maybe_progress()
 
-    def fallback(self, reason, device, emit):
-        """Count a kernel fallback; emit the event only on the first
-        occurrence of ``reason`` (the caller shares the stderr
-        warning's one-time-per-reason gate)."""
+    def fallback(self, reason, device):
+        """Count a kernel fallback; emit the event only on the shard's
+        first occurrence of ``reason``.
+
+        Gated per shard, not per process, so the shard's stream is the
+        same whichever worker ran it and whatever it ran before."""
         self.fallbacks += 1
-        if emit:
+        if reason not in self._fallback_reasons:
+            self._fallback_reasons.add(reason)
             self.writer.emit("fallback", shard=self.shard,
                              reason=reason, device=device)
 

@@ -1,4 +1,13 @@
-"""The supervisor state machine: watchdog, retries, quarantine."""
+"""The supervisor state machine: watchdog, retries, quarantine, worker
+reuse."""
+
+import os
+import signal
+import subprocess
+import sys
+import time
+
+from pathlib import Path
 
 import pytest
 
@@ -368,3 +377,158 @@ def test_crash_directives_emit_crash_attempt_events():
     results = supervisor.execute(_jobs(1))
     assert list(results.values()) == ["0"]
     assert recorder.attempts == [(1, "crash")]
+
+
+# -- worker reuse ------------------------------------------------------------
+
+def _worker_pid(index, sleep_s=0.0):
+    """One distinct job per ``index``; returns the pid that ran it."""
+    time.sleep(sleep_s)
+    return os.getpid()
+
+
+def _pid_jobs(n, sleep_s=0.0):
+    return [FuncSpec.make(_worker_pid, index=i, sleep_s=sleep_s)
+            for i in range(n)]
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie has exited)."""
+    try:
+        with open("/proc/{}/stat".format(pid)) as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _wait_until(predicate, timeout_s):
+    deadline = time.monotonic() + timeout_s
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return predicate()
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc"),
+                                reason="process states are read from /proc")
+
+
+@needs_processes
+def test_a_batch_forks_at_most_one_process_per_worker():
+    supervisor = Supervisor(mode="process", harness_faults=HarnessFaults())
+    specs = _pid_jobs(6)
+    results = supervisor.execute(specs, workers=2)
+    assert len(results) == 6
+    assert len(set(results.values())) <= 2
+    assert os.getpid() not in results.values()
+    assert supervisor.stats.attempts == 6
+
+
+@needs_processes
+@pytest.mark.parametrize("kind", ["fail", "crash"])
+def test_a_failed_attempt_retires_its_worker(kind):
+    faults = HarnessFaults.from_json(
+        '{"%s": {"job:0001:*": [1]}}' % kind)
+    supervisor = Supervisor(mode="process", harness_faults=faults,
+                            retry_policy=_fast_policy(2))
+    specs = _pid_jobs(2)
+    results = supervisor.execute(specs, workers=1)
+    assert supervisor.stats.recovered == 1
+    # Job 1's first attempt ran on job 0's worker; its retry did not.
+    assert results[specs[1]] != results[specs[0]]
+
+
+def _probe_specs(count):
+    from repro.fleet.fastpath import PROBE_SCHEMA, needed_probes, probe_day
+    from repro.fleet.population import PopulationSpec
+
+    population = PopulationSpec(seed=3, devices=12, minutes=2.0,
+                                mitigations=("vanilla", "leaseos"))
+    return [FuncSpec.make(probe_day, kind=kind, name=name,
+                          profile=profile, mitigation=mitigation,
+                          minutes=population.minutes, variant=variant,
+                          env_json=env_json, schema=PROBE_SCHEMA)
+            for kind, name, profile, mitigation, variant, env_json
+            in needed_probes(population)[:count]]
+
+
+@needs_processes
+def test_probe_results_do_not_depend_on_the_jobs_a_worker_ran_before():
+    specs = _probe_specs(12)
+    assert len(specs) == 12
+
+    def run(mode, order):
+        supervisor = Supervisor(mode=mode, harness_faults=HarnessFaults())
+        return supervisor.execute(order, workers=1)
+
+    serial = run("serial", specs)
+    assert len(serial) == 12
+    assert run("process", specs) == serial
+    assert run("process", specs[::-1]) == serial
+
+
+@needs_processes
+@needs_proc
+def test_an_idle_worker_that_died_is_replaced_without_an_attempt():
+    supervisor = Supervisor(mode="process", harness_faults=HarnessFaults())
+    specs = _pid_jobs(2)
+    killed = []
+
+    def kill_the_worker(spec, pid):
+        if spec == specs[0]:
+            os.kill(pid, signal.SIGKILL)
+            killed.append(_wait_until(lambda: not _running(pid), 5.0))
+
+    results = supervisor.execute(specs, workers=1,
+                                 on_result=kill_the_worker)
+    assert killed == [True]
+    assert results[specs[1]] != results[specs[0]]
+    assert supervisor.stats.attempts == 2
+    assert supervisor.stats.crashes == supervisor.stats.retries == 0
+    assert not supervisor.manifest
+
+
+_ORPHAN_SCRIPT = """
+import sys
+from repro.resilience import HarnessFaults, Supervisor
+from tests.resilience.test_supervisor import _pid_jobs
+
+def report(spec, pid):
+    with open(sys.argv[1], "a") as handle:
+        handle.write("{}\\n".format(pid))
+
+Supervisor(mode="process", harness_faults=HarnessFaults()).execute(
+    _pid_jobs(100, sleep_s=0.1), workers=2, on_result=report)
+"""
+
+
+@needs_processes
+@needs_proc
+def test_a_sigkilled_supervisor_leaves_no_worker_behind(tmp_path):
+    root = Path(__file__).resolve().parents[2]
+    pid_file = tmp_path / "pids"
+
+    def pids():
+        if not pid_file.exists():
+            return set()
+        return {int(line) for line in pid_file.read_text().split()}
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root)]))
+    env.pop("REPRO_HARNESS_FAULTS", None)
+    supervisor = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SCRIPT, str(pid_file)],
+        cwd=str(root), env=env)
+    workers = set()
+    try:
+        assert _wait_until(lambda: len(pids()) >= 2, 60.0)
+        workers = pids()
+    finally:
+        supervisor.kill()
+        supervisor.wait(timeout=10)
+    try:
+        assert _wait_until(
+            lambda: not any(_running(pid) for pid in workers), 5.0)
+    finally:
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

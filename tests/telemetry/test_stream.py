@@ -25,14 +25,21 @@ from repro.telemetry.schema import (
 POP = PopulationSpec(seed=23, devices=8, shard_size=3, minutes=2.0,
                      mitigations=("vanilla", "leaseos"))
 
+#: Half the devices carry an armed fault plan, so vector shards share
+#: the ``fault-plan-armed`` fallback reason.
+CHAOS_POP = PopulationSpec(seed=23, devices=9, shard_size=3, minutes=2.0,
+                           mitigations=("vanilla", "leaseos"),
+                           chaos_rate=0.5)
 
-def _emit_shards(monkeypatch, directory, order):
+
+def _emit_shards(monkeypatch, directory, order, population=POP,
+                 **shard_kwargs):
     monkeypatch.setenv(ENV_DIR, str(directory))
-    monkeypatch.setenv(ENV_FP, POP.fingerprint()[:12])
+    monkeypatch.setenv(ENV_FP, population.fingerprint()[:12])
     monkeypatch.setenv(ENV_PROGRESS, "0")  # snapshot per device
     for shard in order:
-        start, stop = POP.shard_range(shard)
-        run_shard(POP.to_json(), start, stop)
+        start, stop = population.shard_range(shard)
+        run_shard(population.to_json(), start, stop, **shard_kwargs)
 
 
 def test_shard_streams_are_order_independent_goldens(tmp_path,
@@ -47,6 +54,31 @@ def test_shard_streams_are_order_independent_goldens(tmp_path,
     # Timestamp-stripped canonical bytes are identical across dispatch
     # orders -- the stream golden.
     assert canonical_json(events_a) == canonical_json(events_b)
+
+
+def test_vector_fallback_events_are_order_independent(tmp_path,
+                                                      monkeypatch):
+    from repro.experiments.grid import GridRunner
+    from repro.fleet.fastpath import build_table, reset_fallback_warnings
+
+    table = build_table(CHAOS_POP, runner=GridRunner(
+        jobs=1, cache=str(tmp_path / "cache")))
+    streams = {}
+    for name, order in (("a", [0, 1, 2]), ("b", [2, 0, 1])):
+        reset_fallback_warnings()  # each order is a run of its own
+        _emit_shards(monkeypatch, tmp_path / name, order,
+                     population=CHAOS_POP, mode="vector",
+                     table_json=table.to_json())
+        events, problems = load_stream_dir(str(tmp_path / name))
+        assert problems == []
+        streams[name] = events
+    assert canonical_json(streams["a"]) == canonical_json(streams["b"])
+    # A reason repeated across shards is an event in every shard that
+    # meets it, not only in whichever one this process ran first.
+    shards = {e["shard"] for e in streams["a"]
+              if e["event"] == "fallback"
+              and e["reason"] == "fault-plan-armed"}
+    assert len(shards) > 1
 
 
 def test_progress_snapshots_carry_mergeable_partials(tmp_path,
@@ -88,8 +120,8 @@ def test_foreign_fingerprint_keeps_the_worker_silent(tmp_path,
     assert events == []
 
 
-def test_fallback_events_share_the_warn_once_gate(tmp_path,
-                                                  monkeypatch):
+def test_fallback_events_are_gated_once_per_reason_per_shard(
+        tmp_path, monkeypatch, capsys):
     from repro.fleet.fastpath import (
         _log_fallback_once,
         reset_fallback_warnings,
@@ -99,21 +131,29 @@ def test_fallback_events_share_the_warn_once_gate(tmp_path,
     monkeypatch.setenv(ENV_DIR, str(tmp_path))
     monkeypatch.setenv(ENV_FP, POP.fingerprint()[:12])
     reset_fallback_warnings()
-    telem = shard_telemetry(POP, 0, 0, 3, "vector")
+    first = shard_telemetry(POP, 0, 0, 3, "vector")
     try:
         _log_fallback_once("fault-plan-armed", 0)
         _log_fallback_once("fault-plan-armed", 1)
         _log_fallback_once("probe-crashed", 2)
     finally:
+        first.close()
+    second = shard_telemetry(POP, 1, 3, 6, "vector")
+    try:
+        _log_fallback_once("fault-plan-armed", 3)
+    finally:
         reset_fallback_warnings()
-        telem.close()
+        second.close()
     events, __ = load_stream_dir(str(tmp_path))
-    fallbacks = [e for e in events if e["event"] == "fallback"]
-    # Every occurrence is counted, but only the first per reason is an
-    # event -- the same gating as the stderr warning.
-    assert [e["reason"] for e in fallbacks] == ["fault-plan-armed",
-                                                "probe-crashed"]
-    assert telem.fallbacks == 3
+    fallbacks = [(e["shard"], e["reason"]) for e in events
+                 if e["event"] == "fallback"]
+    # Every occurrence is counted, but only a shard's first per reason
+    # is an event; the stderr warning stays once per process.
+    assert sorted(fallbacks) == [(0, "fault-plan-armed"),
+                                 (0, "probe-crashed"),
+                                 (1, "fault-plan-armed")]
+    assert (first.fallbacks, second.fallbacks) == (3, 1)
+    assert capsys.readouterr().err.count("fault-plan-armed") == 1
 
 
 # -- kill-and-resume continuation (CLI) --------------------------------------
