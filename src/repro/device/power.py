@@ -17,6 +17,27 @@ from collections import defaultdict
 SYSTEM_UID = 1000
 
 
+class _Cell:
+    """One running energy total in mJ, shared by reference."""
+
+    __slots__ = ("mj",)
+
+    def __init__(self):
+        self.mj = 0.0
+
+
+def _cell(cells, key):
+    cell = cells.get(key)
+    if cell is None:
+        cell = cells[key] = _Cell()
+    return cell
+
+
+def _value(cells, key):
+    cell = cells.get(key)
+    return 0.0 if cell is None else cell.mj
+
+
 class EnergyLedger:
     """Accumulated energy per (uid, rail) in millijoules.
 
@@ -24,21 +45,40 @@ class EnergyLedger:
     per-rail and grand running totals, so the hot queries
     (:meth:`app_total_mj`, :meth:`by_app`, :meth:`total_mj`) are O(1)
     in the number of rails instead of scanning every key.
+
+    Every total but the grand one is a :class:`_Cell`, created on the
+    first energy booked to its key. :class:`PowerMonitor` keeps each
+    drawing rail's cells (:meth:`cells`) and adds to them directly, so
+    a settle builds no key and hashes nothing per owner; every total
+    still receives the same addends in the same order as through
+    :meth:`add`.
     """
 
     def __init__(self):
-        self._energy_mj = defaultdict(float)  # (uid, rail) -> mJ
-        self._by_uid = defaultdict(float)  # uid -> mJ
-        self._by_rail = defaultdict(float)  # rail -> mJ
+        self._energy_mj = {}  # (uid, rail) -> _Cell
+        self._by_uid = {}  # uid -> _Cell
+        self._by_rail = {}  # rail -> _Cell
         self._total_mj = 0.0
 
     def add(self, uid, rail, energy_mj):
         if energy_mj < 0:
             raise ValueError("energy must be non-negative, got {}".format(energy_mj))
-        self._energy_mj[(uid, rail)] += energy_mj
-        self._by_uid[uid] += energy_mj
-        self._by_rail[rail] += energy_mj
+        _cell(self._energy_mj, (uid, rail)).mj += energy_mj
+        _cell(self._by_uid, uid).mj += energy_mj
+        _cell(self._by_rail, rail).mj += energy_mj
         self._total_mj += energy_mj
+
+    def cells(self, rail, owners):
+        """The totals a draw on ``rail`` split over ``owners`` books to.
+
+        Returns ``(rail_cell, ((pair_cell, uid_cell), ...))``, one pair
+        per owner in order, creating missing cells in the order
+        :meth:`add` would for the first share of each owner. The grand
+        total is the caller's to add to (``_total_mj``).
+        """
+        return (_cell(self._by_rail, rail),
+                tuple((_cell(self._energy_mj, (uid, rail)),
+                       _cell(self._by_uid, uid)) for uid in owners))
 
     def total_mj(self):
         """Total energy consumed by the whole device, in mJ."""
@@ -46,21 +86,21 @@ class EnergyLedger:
 
     def app_total_mj(self, uid):
         """Total energy attributed to ``uid`` across all rails, in mJ."""
-        return self._by_uid.get(uid, 0.0)
+        return _value(self._by_uid, uid)
 
     def app_rail_mj(self, uid, rail):
-        return self._energy_mj.get((uid, rail), 0.0)
+        return _value(self._energy_mj, (uid, rail))
 
     def rail_total_mj(self, rail):
-        return self._by_rail.get(rail, 0.0)
+        return _value(self._by_rail, rail)
 
     def by_app(self):
         """Mapping of uid -> total mJ."""
-        return dict(self._by_uid)
+        return {uid: cell.mj for uid, cell in self._by_uid.items()}
 
     def snapshot(self):
         """A copy of the raw (uid, rail) -> mJ mapping."""
-        return dict(self._energy_mj)
+        return {key: cell.mj for key, cell in self._energy_mj.items()}
 
     def consistency_error_mj(self):
         """Worst disagreement between the raw map and the running totals.
@@ -72,26 +112,30 @@ class EnergyLedger:
         ground truth have diverged -- the energy-conservation invariant
         (:mod:`repro.faults.invariants`) checks this continuously.
         """
-        raw_total = sum(self._energy_mj.values())
+        raw = self.snapshot()
+        raw_total = sum(raw.values())
         by_uid = defaultdict(float)
         by_rail = defaultdict(float)
-        for (uid, rail), energy in self._energy_mj.items():
+        for (uid, rail), energy in raw.items():
             by_uid[uid] += energy
             by_rail[rail] += energy
         worst = abs(raw_total - self._total_mj)
-        for uid, energy in self._by_uid.items():
-            worst = max(worst, abs(energy - by_uid.get(uid, 0.0)))
-        for rail, energy in self._by_rail.items():
-            worst = max(worst, abs(energy - by_rail.get(rail, 0.0)))
+        for uid, cell in self._by_uid.items():
+            worst = max(worst, abs(cell.mj - by_uid.get(uid, 0.0)))
+        for rail, cell in self._by_rail.items():
+            worst = max(worst, abs(cell.mj - by_rail.get(rail, 0.0)))
         return worst
 
 
 class _Rail:
-    __slots__ = ("power_mw", "owners")
+    __slots__ = ("power_mw", "owners", "cells")
 
     def __init__(self):
         self.power_mw = 0.0
         self.owners = ()
+        #: ``EnergyLedger.cells`` for the current owners, looked up at
+        #: the first settle that integrates them (None until then).
+        self.cells = None
 
 
 class PowerMonitor:
@@ -144,7 +188,9 @@ class PowerMonitor:
         if state is None:
             state = self._rails[rail]
         state.power_mw = power_mw
-        state.owners = owners
+        if state.owners != owners:
+            state.owners = owners
+            state.cells = None
         if power_mw > 0.0:
             self._drawing[rail] = state
         else:
@@ -176,14 +222,36 @@ class PowerMonitor:
             # without walking the rail table.
             self._last_settle = now
             return
+        # Each share goes straight into the ledger's cells, in the order
+        # EnergyLedger.add would book it; the grand total is summed in
+        # a local in that same order and stored back once.
+        ledger = self.ledger
+        total_mj = ledger._total_mj
         drained_mj = 0.0
         for rail, state in self._drawing.items():
             energy_mj = state.power_mw * elapsed  # mW == mJ/s
             drained_mj += energy_mj
-            owners = state.owners or (SYSTEM_UID,)
-            share = energy_mj / len(owners)
-            for uid in owners:
-                self.ledger.add(uid, rail, share)
+            cells = state.cells
+            if cells is None:
+                cells = state.cells = ledger.cells(
+                    rail, state.owners or (SYSTEM_UID,))
+            rail_cell, owner_cells = cells
+            if len(owner_cells) == 1:
+                # The common case, without the loop: the one owner's
+                # share is the whole draw (``x / 1`` is exact).
+                (pair_cell, uid_cell), = owner_cells
+                pair_cell.mj += energy_mj
+                uid_cell.mj += energy_mj
+                rail_cell.mj += energy_mj
+                total_mj += energy_mj
+                continue
+            share = energy_mj / len(owner_cells)
+            for pair_cell, uid_cell in owner_cells:
+                pair_cell.mj += share
+                uid_cell.mj += share
+                rail_cell.mj += share
+                total_mj += share
+        ledger._total_mj = total_mj
         if self.battery is not None and drained_mj > 0:
             self.battery.drain_mj(drained_mj)
         self._last_settle = now

@@ -12,7 +12,17 @@ from collections import defaultdict
 
 
 class CpuPowerModel:
-    """Recomputes CPU rails from suspend state, wakelocks and compute load."""
+    """Asserts the CPU rails from suspend state, wakelocks and compute load.
+
+    A state change re-asserts only the rails it can change. Awake, a
+    change of awake owners moves only the base rail and, without DVFS,
+    a change of one uid's load only that uid's ``cpu_active`` rail.
+    Every other rail already holds the draw a full :meth:`_recompute`
+    would assert, so the applied ``set_rail`` calls (and with them the
+    settle points and listener calls) are exactly the full recompute's.
+    Asleep, and under DVFS (whose scale follows the total load), a load
+    change recomputes every rail.
+    """
 
     BASE_RAIL = "cpu_base"
 
@@ -27,6 +37,7 @@ class CpuPowerModel:
         self._awake_owner_uids = ()
         self._computing = defaultdict(float)  # uid -> cores in use
         self._cpu_time = defaultdict(float)  # uid -> accumulated active s
+        self._active_rails = {}  # uid -> ("cpu_active:<uid>", (uid,))
         self._last_settle = sim.now
         self._recompute()
 
@@ -46,7 +57,7 @@ class CpuPowerModel:
     def cpu_time(self, uid):
         """Accumulated busy CPU seconds for ``uid`` (core-seconds)."""
         self._settle_times()
-        return self._cpu_time[uid]
+        return self._cpu_time.get(uid, 0.0)
 
     def cpu_energy_mj(self, uid):
         """Accumulated active-CPU energy attributed to ``uid`` in mJ.
@@ -79,38 +90,55 @@ class CpuPowerModel:
     def set_awake_owners(self, uids):
         """Attribute awake-idle power to these uids (wakelock holders)."""
         self._awake_owner_uids = tuple(uids)
-        self._recompute()
+        if self.suspended:
+            self._recompute()
+        else:
+            self._set_base_rail()
 
     def begin_compute(self, uid, cores=1.0):
         self._settle_times()
         self._computing[uid] += cores
-        self._recompute()
+        self._load_changed(uid)
 
     def end_compute(self, uid, cores=1.0):
         self._settle_times()
         self._computing[uid] = max(0.0, self._computing[uid] - cores)
-        self._recompute()
-
-    def computing_load(self, uid):
-        return self._computing[uid]
+        self._load_changed(uid)
 
     # -- rails --------------------------------------------------------------
 
+    def _load_changed(self, uid):
+        if self.suspended or self.dvfs is not None:
+            self._recompute()
+        else:
+            self._set_active_rail(uid, 1.0)  # the scale without DVFS
+
     def _recompute(self):
-        profile = self.profile
+        """Re-assert every CPU rail."""
         if self.suspended:
-            self.monitor.set_rail(self.BASE_RAIL, profile.cpu_sleep_mw, ())
+            self.monitor.set_rail(self.BASE_RAIL, self.profile.cpu_sleep_mw, ())
             for uid in self._computing:
-                self.monitor.set_rail("cpu_active:{}".format(uid), 0.0, ())
+                self.monitor.set_rail(self._active_rail(uid)[0], 0.0, ())
             return
-        self.monitor.set_rail(
-            self.BASE_RAIL, profile.cpu_awake_idle_mw, self._awake_owner_uids
-        )
+        self._set_base_rail()
         scale = self.current_power_scale()
-        for uid, cores in self._computing.items():
-            effective = min(cores, profile.cpu_cores)
-            self.monitor.set_rail(
-                "cpu_active:{}".format(uid),
-                profile.cpu_active_mw * effective * scale,
-                (uid,),
-            )
+        for uid in self._computing:
+            self._set_active_rail(uid, scale)
+
+    def _set_base_rail(self):
+        self.monitor.set_rail(self.BASE_RAIL, self.profile.cpu_awake_idle_mw,
+                              self._awake_owner_uids)
+
+    def _set_active_rail(self, uid, scale):
+        rail, owners = self._active_rail(uid)
+        effective = min(self._computing[uid], self.profile.cpu_cores)
+        self.monitor.set_rail(
+            rail, self.profile.cpu_active_mw * effective * scale, owners)
+
+    def _active_rail(self, uid):
+        """``uid``'s active rail name and owner tuple, built once."""
+        entry = self._active_rails.get(uid)
+        if entry is None:
+            entry = self._active_rails[uid] = (
+                "cpu_active:{}".format(uid), (uid,))
+        return entry

@@ -181,9 +181,14 @@ class SensorManagerService:
 
     def _schedule_delivery(self, record):
         interval = 1.0 / min(record.rate_hz, self.MAX_DELIVERY_HZ)
-        record._delivery_timer = self.sim.schedule(
-            interval, lambda: self._deliver(record)
-        )
+        timer = record._delivery_timer
+        if timer is not None and timer.fired and not timer.cancelled:
+            # The delivery that just fired re-arms its own timer.
+            self.sim.reschedule(timer, interval)
+        else:
+            record._delivery_timer = self.sim.schedule(
+                interval, lambda: self._deliver(record)
+            )
 
     def _deliver(self, record):
         if record not in self._active:

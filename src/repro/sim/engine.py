@@ -105,7 +105,7 @@ class RunBudget:
             self._wall_started = _monotonic()
         if self.max_events is not None and self.events > self.max_events:
             raise BudgetExceeded("max_events", self.diagnostics(sim))
-        if self.max_sim_s is not None and sim._now > self.max_sim_s:
+        if self.max_sim_s is not None and sim.now > self.max_sim_s:
             raise BudgetExceeded("max_sim_s", self.diagnostics(sim))
         if self.max_wall_s is not None:
             self._wall_countdown -= 1
@@ -118,7 +118,7 @@ class RunBudget:
     def diagnostics(self, sim):
         """Kernel snapshot for the abort report."""
         return {
-            "sim_now_s": round(sim._now, 6),
+            "sim_now_s": round(sim.now, 6),
             "events_charged": self.events,
             "sim_dispatched_lifetime": sim.dispatched,
             "heap_entries": len(sim._queue),
@@ -213,7 +213,9 @@ class Simulator:
     COMPACT_MIN_CANCELLED = 64
 
     def __init__(self, start_time=0.0, budget=None):
-        self._now = float(start_time)
+        #: Current simulated time in seconds since boot. A plain
+        #: attribute, read on nearly every event; only the loop moves it.
+        self.now = float(start_time)
         self._queue = []  # heap of (deadline, seq, Timer)
         self._seq = 0
         self._running = False
@@ -227,11 +229,6 @@ class Simulator:
         #: Heap compactions performed (hygiene introspection).
         self.compactions = 0
 
-    @property
-    def now(self):
-        """Current simulated time in seconds since boot."""
-        return self._now
-
     def schedule(self, delay, callback):
         """Schedule ``callback()`` to run after ``delay`` seconds.
 
@@ -243,7 +240,7 @@ class Simulator:
             raise SimulationError("cannot schedule in the past (delay={})".format(delay))
         seq = self._seq
         self._seq = seq + 1
-        timer = Timer(self._now + delay, seq, callback, self)
+        timer = Timer(self.now + delay, seq, callback, self)
         _heappush(self._queue, (timer.deadline, seq, timer))
         return timer
 
@@ -251,7 +248,8 @@ class Simulator:
         """Re-arm a timer that has already fired, reusing the object.
 
         The allocation-free fast path for repeating callbacks
-        (:class:`PeriodicTimer`): no new :class:`Timer`, no new closure.
+        (:class:`PeriodicTimer`, a process's next sleep, the next sensor
+        delivery): no new :class:`Timer`, no new closure.
         Only a fired, uncancelled timer may be re-armed -- a pending or
         cancelled one may still have a live heap entry, and re-pushing it
         would dispatch the revived timer at the stale deadline.
@@ -264,7 +262,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        timer.deadline = self._now + delay
+        timer.deadline = self.now + delay
         timer.seq = seq
         timer.fired = False
         _heappush(self._queue, (timer.deadline, seq, timer))
@@ -272,12 +270,12 @@ class Simulator:
 
     def at(self, when, callback):
         """Schedule ``callback()`` at absolute simulated time ``when``."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
                 "cannot schedule at t={} -- simulated time is already at "
-                "t={}".format(when, self._now)
+                "t={}".format(when, self.now)
             )
-        return self.schedule(when - self._now, callback)
+        return self.schedule(when - self.now, callback)
 
     def every(self, interval, callback, start_after=None):
         """Run ``callback()`` every ``interval`` seconds until cancelled.
@@ -338,9 +336,9 @@ class Simulator:
 
     def run_until(self, until):
         """Run all events with deadlines <= ``until``; set clock to ``until``."""
-        if until < self._now:
+        if until < self.now:
             raise SimulationError(
-                "cannot run backwards (now={}, until={})".format(self._now, until)
+                "cannot run backwards (now={}, until={})".format(self.now, until)
             )
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -360,7 +358,7 @@ class Simulator:
                 if timer.cancelled:
                     self._cancelled -= 1
                     continue
-                self._now = deadline
+                self.now = deadline
                 timer.fired = True
                 dispatched += 1
                 # Like the trace, the budget is re-read per event so a
@@ -374,7 +372,7 @@ class Simulator:
                     timer.callback()
                 else:
                     trace.dispatch(timer.callback)
-            self._now = until
+            self.now = until
         finally:
             self.dispatched += dispatched
             self._running = False
@@ -393,7 +391,7 @@ class Simulator:
                 if timer.cancelled:
                     self._cancelled -= 1
                     continue
-                self._now = deadline
+                self.now = deadline
                 timer.fired = True
                 dispatched += 1
                 budget = self._budget
@@ -414,7 +412,7 @@ class Simulator:
         return len(self._queue) - self._cancelled
 
     def __repr__(self):
-        return "Simulator(now={:.3f}, pending={})".format(self._now, self.pending_events)
+        return "Simulator(now={:.3f}, pending={})".format(self.now, self.pending_events)
 
     # -- heap hygiene --------------------------------------------------------
 

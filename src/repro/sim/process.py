@@ -56,8 +56,11 @@ class Process:
         self._frozen_remaining = None  # leftover sleep while paused
         self._waited_event = None  # Event currently waited on
         self._pending_value = _NOTHING  # value delivered while paused
+        #: ``_advance`` bound once: the callback of every timer that
+        #: wakes this process, so a sleep allocates no closure.
+        self._wake = self._advance
         # Start asynchronously so spawning inside callbacks is safe.
-        self._timer = sim.schedule(0.0, lambda: self._advance(None))
+        self._timer = sim.schedule(0.0, self._wake)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -92,7 +95,7 @@ class Process:
         if self._frozen_remaining is not None:
             remaining = self._frozen_remaining
             self._frozen_remaining = None
-            self._timer = self.sim.schedule(remaining, lambda: self._advance(None))
+            self._timer = self.sim.schedule(remaining, self._wake)
         elif self._pending_value is not _NOTHING:
             value = self._pending_value
             self._pending_value = _NOTHING
@@ -116,9 +119,10 @@ class Process:
 
     # -- stepping ----------------------------------------------------------
 
-    def _advance(self, send_value):
+    def _advance(self, send_value=None):
         if not self.alive:
             return
+        fired = self._timer  # the timer that woke us, if one did
         self._timer = None
         self._waited_event = None
         try:
@@ -132,17 +136,20 @@ class Process:
             self.state = ProcessState.KILLED
             self.done_event.fire(None)
             return
-        self._wait_on(yielded)
+        self._wait_on(yielded, fired)
 
-    def _wait_on(self, yielded):
+    def _wait_on(self, yielded, fired):
         if isinstance(yielded, Timeout):
             if self.state is ProcessState.PAUSED:
                 # Paused by a callback triggered from our own last step.
                 self._frozen_remaining = yielded.delay
+            elif fired is not None and fired.callback is self._wake \
+                    and fired.fired and not fired.cancelled:
+                # Re-arm the timer that just woke us: the deadline and
+                # sequence number a fresh one would get, no allocation.
+                self._timer = self.sim.reschedule(fired, yielded.delay)
             else:
-                self._timer = self.sim.schedule(
-                    yielded.delay, lambda: self._advance(None)
-                )
+                self._timer = self.sim.schedule(yielded.delay, self._wake)
         elif isinstance(yielded, Event):
             self._waited_event = yielded
             yielded.add_waiter(self._on_event)

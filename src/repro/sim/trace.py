@@ -4,9 +4,11 @@ The discrete-event loop is the hot path of every experiment, and "which
 callbacks eat the events" is the first question of any speedup. A
 :class:`KernelTrace` installed via :meth:`Simulator.set_trace` attributes
 every dispatched event to its *callback site* -- the module-qualified
-function behind the callback (bound methods resolve to their underlying
-function, so every ``Process._wait_on`` timeout lands on one site
-instead of one per process instance).
+function behind the callback. Bound methods resolve to their underlying
+function, so every process wake-up lands on one site,
+``repro.sim.process.Process._advance``, instead of one per process
+instance; a closure prints where it was defined, e.g.
+``repro.droid.sensors.SensorManagerService._schedule_delivery.<locals>.<lambda>``.
 
 Usage::
 

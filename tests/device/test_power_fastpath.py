@@ -149,6 +149,23 @@ def test_queries_do_not_mutate_ledger():
     ledger.add(1, "cpu", 1.0)
     ledger.app_total_mj(99)
     ledger.rail_total_mj("nope")
+    ledger.app_rail_mj(99, "cpu")
     assert 99 not in ledger._by_uid
     assert "nope" not in ledger._by_rail
+    assert (99, "cpu") not in ledger._energy_mj
     assert ledger.by_app() == {1: 1.0}
+    assert ledger.snapshot() == {(1, "cpu"): 1.0}
+
+
+def test_ledger_entries_appear_only_when_energy_is_booked():
+    """A rail's ledger cells are looked up at its first integrating
+    settle: a draw that never lasted books nothing, not even a zero."""
+    sim, monitor = make_monitor()
+    monitor.set_rail("gps", 100.0, (5,))
+    monitor.set_rail("gps", 0.0, ())  # same instant: nothing elapsed
+    sim.run_until(3.0)
+    monitor.settle()
+    assert monitor.ledger.snapshot() == {}
+    assert monitor.ledger.by_app() == {}
+    assert monitor.ledger.rail_total_mj("gps") == 0.0
+    assert "gps" not in monitor.ledger._by_rail

@@ -60,6 +60,26 @@ def test_suspend_stops_cpu_time_and_drops_rail():
     assert cpu.cpu_time(1) == pytest.approx(3.0)
 
 
+def test_querying_an_unknown_uid_changes_nothing():
+    """A query must not register the uid: a registered uid would get a
+    zero ``cpu_active`` rail at the next recompute, and with it an extra
+    settle point that changes every later result."""
+    sim, monitor, cpu, __ = make_stack()
+    cpu.begin_compute(1)
+    sim.run_until(2.0)
+    cpu.cpu_time(1)  # settle the CPU time at t=2 first
+    computing, cpu_time = dict(cpu._computing), dict(cpu._cpu_time)
+    rails = list(monitor._rails)
+    assert cpu.cpu_time(99) == 0.0
+    assert cpu.cpu_energy_mj(99) == 0.0
+    assert dict(cpu._computing) == computing
+    assert dict(cpu._cpu_time) == cpu_time
+    assert list(monitor._rails) == rails
+    cpu.set_suspended(True)  # a full recompute
+    cpu.set_suspended(False)
+    assert "cpu_active:99" not in monitor._rails
+
+
 def test_awake_owner_attribution():
     sim, monitor, cpu, __ = make_stack()
     cpu.set_awake_owners([5])
