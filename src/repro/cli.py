@@ -280,21 +280,12 @@ def _cmd_fleet(args):
         from repro.telemetry import default_telemetry_dir
 
         telemetry_dir = default_telemetry_dir(population)
-    service_journal = args.service_journal
-    if service_journal == "auto":
-        from repro.service.wiring import default_service_dir
-
-        service_journal = default_service_dir(population.fingerprint())
     fleet_runner = FleetRunner(population, runner=_grid_runner(args),
                                checkpoint_dir=args.checkpoint_dir,
                                verbose=True, mode=args.mode,
-                               telemetry_dir=telemetry_dir,
-                               service_journal=service_journal)
+                               telemetry_dir=telemetry_dir)
     if telemetry_dir is not None:
         print("[telemetry stream: {}]".format(telemetry_dir),
-              file=sys.stderr)
-    if service_journal is not None:
-        print("[service journal: {}]".format(service_journal),
               file=sys.stderr)
     if fleet_runner.mode != fleet_runner.requested_mode:
         print("fleet: --mode auto resolved to {} for {} devices"
@@ -810,14 +801,6 @@ def build_parser():
                              help="probability an app slot hosts a "
                                   "generated scenario app (requires "
                                   "--catalog)")
-            sub.add_argument("--service-journal", metavar="DIR",
-                             nargs="?", const="auto", default=None,
-                             help="journal every shard's lease "
-                                  "lifecycle into the crash-safe lease "
-                                  "authority under DIR (bare flag: "
-                                  "results/.service/<fingerprint>); "
-                                  "off by default, plumbed by env so "
-                                  "cache keys are unchanged")
         if name == "scenarios":
             sub.add_argument("--catalog", metavar="PATH", default=None,
                              help="catalog JSON to evaluate (default: "

@@ -7,8 +7,6 @@ classifies the behaviour, and decides: renew immediately (normal) or
 defer the next term for τ while the resource is revoked (FAB/LHB/LUB).
 """
 
-import os
-
 from collections import defaultdict
 
 from repro.core.behavior import BehaviorType, classify_term
@@ -62,17 +60,6 @@ class LeaseManager:
         #: Running count of INACTIVE leases, so the periodic GC sweep can
         #: skip its table walk on a device with nothing to collect.
         self._inactive_count = 0
-        #: Optional crash-safe mirror of the lease lifecycle into a
-        #: journaled :class:`repro.service.service.LeaseService`. Armed
-        #: by environment variable only (REPRO_SERVICE_JOURNAL ==
-        #: ``repro.service.storage.ENV_JOURNAL``), never by kwarg, so
-        #: content-addressed cache keys are untouched when it is off
-        #: -- and the guard keeps the default path import-free.
-        self.persistence = None
-        if os.environ.get("REPRO_SERVICE_JOURNAL"):
-            from repro.service.wiring import attach_from_env
-
-            self.persistence = attach_from_env(self)
         if self.policy.gc_sweep_interval_s > 0:
             self.sim.every(self.policy.gc_sweep_interval_s, self._gc_sweep)
 
@@ -97,8 +84,6 @@ class LeaseManager:
         self.leases[lease.descriptor] = lease
         self._start_term(lease, self.policy.initial_term_s)
         proxy.refresh_snapshot(lease)
-        if self.persistence is not None:
-            self.persistence.on_create(lease)
         return lease
 
     def check(self, descriptor):
@@ -127,8 +112,6 @@ class LeaseManager:
             self._start_term(lease, self.policy.next_term_length(
                 lease.normal_streak))
             lease.proxy.refresh_snapshot(lease)
-            if self.persistence is not None:
-                self.persistence.on_renew(lease)
         lease.renew_count += 1
         return True
 
@@ -144,8 +127,6 @@ class LeaseManager:
         if not lease.dead:
             lease.transition(LeaseState.DEAD)
         del self.leases[descriptor]
-        if self.persistence is not None:
-            self.persistence.on_remove(lease)
         return True
 
     def note_event(self, descriptor, event):
@@ -348,16 +329,13 @@ class LeaseManager:
     def leases_for(self, uid):
         return [l for l in self.leases.values() if l.uid == uid]
 
-    def sweep_expired(self, now=None):
+    def sweep_expired(self):
         """Sweep long-idle INACTIVE leases; returns how many went.
 
-        The explicit entry point shared by the periodic GC timer and
-        the service sweeper (:mod:`repro.service`): callers that
-        already know collection is due invoke it directly, with an
-        optional explicit ``now`` so an external sweeper can evaluate
-        idleness at its own (deterministic) cadence time.
+        The periodic GC timer's sweep, also callable directly when a
+        caller already knows collection is due.
         """
-        now = self.sim.now if now is None else now
+        now = self.sim.now
         doomed = []
         for lease in self.leases.values():
             if lease.state is not LeaseState.INACTIVE:

@@ -31,11 +31,11 @@ import importlib
 import json
 import os
 import sys
-import tempfile
 
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 
+from repro.io import atomic_write, canonical_json
 from repro.version import __version__ as PACKAGE_VERSION
 
 #: Bump when simulation semantics change in a way that invalidates cached
@@ -326,11 +326,9 @@ class ResultCache:
         self.salt = salt
 
     def key_for(self, spec):
-        token = json.dumps(
+        token = canonical_json(
             {"v": CODE_VERSION, "pkg": PACKAGE_VERSION, "salt": self.salt,
-             "spec": spec.cache_token()},
-            sort_keys=True, separators=(",", ":"),
-        )
+             "spec": spec.cache_token()})
         return hashlib.sha256(token.encode("utf-8")).hexdigest()[:32]
 
     def _path(self, key):
@@ -373,19 +371,11 @@ class ResultCache:
         except TypeError:
             return False  # result not cache-serialisable; run uncached
         os.makedirs(self.directory, exist_ok=True)
-        path = self._path(self.key_for(spec))
         # Atomic publish so concurrent runners never read a torn file.
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=self.directory, suffix=".tmp", delete=False)
         try:
-            with handle:
-                json.dump(payload, handle)
-            os.replace(handle.name, path)
+            atomic_write(self._path(self.key_for(spec)),
+                         json.dumps(payload))
         except OSError:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
             return False
         return True
 

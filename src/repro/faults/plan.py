@@ -15,6 +15,8 @@ import random
 
 from dataclasses import dataclass
 
+from repro.io import canonical_json
+
 #: Every fault kind the injector understands, with the semantics of the
 #: ``param`` field for each.
 FAULT_KINDS = (
@@ -104,7 +106,7 @@ class FaultPlan:
         payload = {"events": [e.as_dict() for e in self.events]}
         if self.seed is not None:
             payload["seed"] = self.seed
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return canonical_json(payload)
 
     @classmethod
     def from_json(cls, text):

@@ -90,6 +90,7 @@ import json
 import sys
 
 from repro.fleet.population import DeviceSpec, PopulationSpec
+from repro.io import canonical_json
 
 #: Bump when the canonical day, the probe set, or the composition model
 #: changes: it salts every probe's cache key and the table fingerprint,
@@ -268,7 +269,7 @@ def case_env_json(buggy_apps):
         env = {}
         for key in buggy_apps:
             env.update(resolve_case(key).phone_kwargs)
-        cached = json.dumps(env, sort_keys=True, separators=(",", ":"))
+        cached = canonical_json(env)
         _ENV_CACHE[buggy_apps] = cached
     return cached
 
@@ -381,10 +382,9 @@ class TransitionTable:
                            env_json))
 
     def to_json(self):
-        return json.dumps(
+        return canonical_json(
             {"schema": PROBE_SCHEMA, "minutes": self.minutes,
-             "entries": self.entries},
-            sort_keys=True, separators=(",", ":"))
+             "entries": self.entries})
 
     @classmethod
     def from_json(cls, text):

@@ -28,6 +28,8 @@ import random
 
 from dataclasses import asdict, dataclass
 
+from repro.io import canonical_json
+
 #: Normal-app archetypes a device can sample, name -> factory path
 #: semantics. Factories resolve lazily so importing this module stays
 #: cheap and specs never capture live objects.
@@ -239,7 +241,7 @@ class PopulationSpec:
             del data["catalog_json"]
             del data["scenario_prevalence"]
             del data["family_weights"]
-        return json.dumps(data, sort_keys=True, separators=(",", ":"))
+        return canonical_json(data)
 
     @classmethod
     def from_json(cls, text):

@@ -18,6 +18,7 @@ import json
 import os
 
 from repro.fleet.stats import wilson_interval
+from repro.io import canonical_json
 from repro.version import __version__
 
 #: Quantiles reported for every distribution metric.
@@ -91,7 +92,7 @@ def build_report(population, merged, execution=None):
 
 def report_json(report):
     """Canonical bytes of a report -- the byte-identical artifact."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return canonical_json(report)
 
 
 def default_report_path(population, directory="results"):

@@ -19,12 +19,12 @@ where it stopped and still produces a byte-identical report.
 import json
 import os
 import sys
-import tempfile
 
 from repro.apps.buggy import scenario_families
 from repro.experiments.grid import FuncSpec, GridRunner
 from repro.fleet.population import PopulationSpec, normal_app_factory
 from repro.fleet.stats import FleetStats
+from repro.io import atomic_write
 from repro.version import __version__
 
 #: Checkpoint schema version; bump on incompatible checkpoint changes.
@@ -387,8 +387,7 @@ class FleetRunner:
     """
 
     def __init__(self, population, runner=None, checkpoint_dir=None,
-                 verbose=False, mode="kernel", telemetry_dir=None,
-                 service_journal=None):
+                 verbose=False, mode="kernel", telemetry_dir=None):
         if mode not in ("kernel", "vector", "auto"):
             raise ValueError("unknown fleet mode {!r}".format(mode))
         # New run: re-arm the warn-once logs so this run's first
@@ -440,11 +439,6 @@ class FleetRunner:
         #: the first ``run_shards`` call when ``telemetry_dir`` is set.
         self.telemetry_dir = telemetry_dir
         self.telemetry = None
-        #: Root directory for the crash-safe lease-authority journal
-        #: (``--service-journal``). Exported to shard workers by
-        #: environment variable only, exactly like telemetry, so the
-        #: content-addressed shard cache keys never see it.
-        self.service_journal = service_journal
 
     @property
     def checkpoints_rejected(self):
@@ -490,20 +484,14 @@ class FleetRunner:
         return summary
 
     def _write_checkpoint(self, shard_index, summary):
+        """Publish one shard's checkpoint atomically. A failed write
+        raises: no shard may count as done without its file."""
         os.makedirs(self.checkpoint_dir, exist_ok=True)
         payload = {"version": __version__, "summary": summary}
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=self.checkpoint_dir, suffix=".tmp", delete=False)
-        # Atomic publish: a kill mid-write leaves no torn checkpoint.
-        try:
-            with handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(handle.name, self._checkpoint_path(shard_index))
-        except OSError:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
+        # Not canonical_json: checkpoint files keep the exact bytes
+        # earlier versions wrote.
+        atomic_write(self._checkpoint_path(shard_index),
+                     json.dumps(payload, sort_keys=True))
 
     # -- execution ---------------------------------------------------------
 
@@ -643,18 +631,13 @@ class FleetRunner:
 
         Environment, not kwargs: a telemetry kwarg on ``run_shard``
         would change every shard's content-addressed cache key."""
-        if self.telemetry is None and self.service_journal is None:
+        if self.telemetry is None:
             return None
-        from repro.service.storage import ENV_JOURNAL
         from repro.telemetry.emit import ENV_DIR, ENV_FP
 
-        saved = {key: os.environ.get(key)
-                 for key in (ENV_DIR, ENV_FP, ENV_JOURNAL)}
-        if self.telemetry is not None:
-            os.environ[ENV_DIR] = self.telemetry.directory
-            os.environ[ENV_FP] = self.telemetry.fp
-        if self.service_journal is not None:
-            os.environ[ENV_JOURNAL] = self.service_journal
+        saved = {key: os.environ.get(key) for key in (ENV_DIR, ENV_FP)}
+        os.environ[ENV_DIR] = self.telemetry.directory
+        os.environ[ENV_FP] = self.telemetry.fp
         return saved
 
     @staticmethod

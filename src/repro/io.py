@@ -1,0 +1,44 @@
+"""The canonical JSON format and the atomic file publish, in one place.
+
+Every fingerprint, cache key, journal crc, report and golden in the
+repo is computed over :func:`canonical_json` text, so that byte format
+is decided here and nowhere else. :func:`atomic_write` is the one
+tmp+rename publish behind the grid result cache, the fleet shard
+checkpoints and the lease journal's snapshots and compaction: a reader,
+or a process killed mid-write, never sees a torn file.
+"""
+
+import json
+import os
+import tempfile
+
+
+def canonical_json(obj):
+    """``obj`` as key-sorted, compact JSON text (ASCII-escaped)."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def atomic_write(path, text, durable=False):
+    """Replace the file at ``path`` with ``text`` in one rename.
+
+    The text goes to a temporary file in the same directory, which is
+    then renamed over ``path``. On ``OSError`` the temporary file is
+    removed and the error propagates; the old file stays intact.
+    ``durable=True`` fsyncs the temporary file before the rename, so
+    the new content also survives a power cut.
+    """
+    handle = tempfile.NamedTemporaryFile(
+        "w", dir=os.path.dirname(path), suffix=".tmp", delete=False)
+    try:
+        with handle:
+            handle.write(text)
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(handle.name, path)
+    except OSError:
+        try:
+            os.unlink(handle.name)
+        except OSError:
+            pass
+        raise

@@ -19,6 +19,8 @@ import time
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 
+from repro.io import canonical_json
+
 #: Environment variable carrying the JSON spec into worker processes.
 ENV_VAR = "REPRO_HARNESS_FAULTS"
 
@@ -91,7 +93,7 @@ class HarnessFaults:
                                for kind, seqs in self.storage}
         if self.hang_s != 3600.0:
             data["hang_s"] = self.hang_s
-        return json.dumps(data, sort_keys=True, separators=(",", ":"))
+        return canonical_json(data)
 
     @classmethod
     def from_json(cls, text):

@@ -26,6 +26,7 @@ import random
 
 from repro.apps.buggy.registry import register_scenario_cases
 from repro.apps.spec import CaseSpec
+from repro.io import canonical_json
 from repro.scenarios.families import FAMILIES, RESOURCE_DRIVERS
 from repro.scenarios.traces import TRACE_KINDS, build_trace
 
@@ -99,8 +100,7 @@ class ScenarioCatalog:
 
     def to_json(self):
         """Canonical JSON: key-sorted, compact -- the fingerprint input."""
-        return json.dumps(self.to_jsonable(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.to_jsonable())
 
     @classmethod
     def from_json(cls, text):

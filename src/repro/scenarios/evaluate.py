@@ -20,8 +20,6 @@ the fleet reports use. The report is canonical JSON (key-sorted,
 compact, no timestamps) so determinism goldens can pin its sha256.
 """
 
-import json
-
 from repro.experiments.grid import (
     FuncSpec,
     GridRunner,
@@ -29,6 +27,7 @@ from repro.experiments.grid import (
 )
 from repro.fleet.report import _metric_block
 from repro.fleet.stats import FleetStats, wilson_interval
+from repro.io import canonical_json
 from repro.scenarios.catalog import ScenarioCatalog
 
 #: Mitigations `repro scenarios` compares by default; vanilla is always
@@ -252,7 +251,7 @@ def build_report(catalog, by_mitigation, minutes, seed):
 
 def report_json(report):
     """Canonical JSON (key-sorted, compact) -- the golden-able artifact."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return canonical_json(report)
 
 
 def render_report(report):

@@ -1,4 +1,4 @@
-"""The lease authority as a service (ROADMAP item 1).
+"""The lease authority as a service.
 
 :mod:`repro.service` extracts the lease authority behind a narrow,
 crash-safe facade -- the `ProxyManager`/`IStorage` layering of
@@ -10,8 +10,8 @@ through an :class:`IStorage` backend:
 - :class:`InMemoryStorage` -- zero-overhead default for tests and
   throwaway runs;
 - :class:`JournalStorage` -- an append-only JSONL write-ahead journal
-  (crc per record, fsync-batched) plus periodic compacted snapshots,
-  under ``results/.service/<fp>/`` by default.
+  (crc per record, fsync-batched) plus periodic compacted snapshots
+  in one directory.
 
 Recovery (:meth:`LeaseService.recover`) replays the journal over the
 latest valid snapshot and must reconstruct the lease table and utility
@@ -30,15 +30,9 @@ from repro.service.service import (  # noqa: F401
 )
 from repro.service.state import ServiceState  # noqa: F401
 from repro.service.storage import (  # noqa: F401
-    ENV_JOURNAL,
     InMemoryStorage,
     IStorage,
     JournalRecoveryError,
     JournalStorage,
     RecoveryInfo,
-)
-from repro.service.wiring import (  # noqa: F401
-    ManagerPersistence,
-    attach_from_env,
-    default_service_dir,
 )

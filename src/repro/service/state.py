@@ -25,9 +25,9 @@ state is a pure value. Ops:
 """
 
 import hashlib
-import json
 
 from repro.fleet.stats import Moments
+from repro.io import canonical_json
 
 #: Bump on incompatible state-shape changes; snapshots carry it.
 STATE_SCHEMA = 1
@@ -235,8 +235,7 @@ class ServiceState:
 
     def to_json(self):
         """Compact canonical JSON (lossless float round-trip)."""
-        return json.dumps(self.to_canonical(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.to_canonical())
 
     def fingerprint(self):
         """sha256 over the canonical JSON: the recovery contract."""

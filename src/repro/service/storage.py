@@ -41,13 +41,10 @@ silent bitrot for recovery to catch.
 import binascii
 import json
 import os
-import tempfile
 
 from dataclasses import dataclass
 
-#: Environment variable arming journal persistence for simulations
-#: (see :mod:`repro.service.wiring`): its value is the journal root.
-ENV_JOURNAL = "REPRO_SERVICE_JOURNAL"
+from repro.io import atomic_write, canonical_json
 
 #: Bump on incompatible journal/snapshot changes.
 JOURNAL_SCHEMA = 1
@@ -58,9 +55,6 @@ JOURNAL_NAME = "journal.jsonl"
 #: Records per fsync on the append path; the tail inside one batch is
 #: exactly what a power cut may tear, which the crash matrix exercises.
 FSYNC_BATCH = 16
-
-#: Default root for per-run service directories.
-DEFAULT_SERVICE_ROOT = os.path.join("results", ".service")
 
 
 class JournalRecoveryError(Exception):
@@ -95,8 +89,7 @@ class RecoveryInfo:
 
 def record_body(seq, op, t, data):
     """The crc-covered part of a record, as canonical JSON text."""
-    return json.dumps({"seq": seq, "op": op, "t": t, "data": data},
-                      sort_keys=True, separators=(",", ":"))
+    return canonical_json({"seq": seq, "op": op, "t": t, "data": data})
 
 
 def record_crc(seq, op, t, data):
@@ -108,10 +101,9 @@ def record_crc(seq, op, t, data):
 
 def encode_record(seq, op, t, data, crc=None):
     """One journal line (no newline), crc filled in unless given."""
-    return json.dumps(
+    return canonical_json(
         {"seq": seq, "op": op, "t": t, "data": data,
-         "crc": crc if crc is not None else record_crc(seq, op, t, data)},
-        sort_keys=True, separators=(",", ":"))
+         "crc": crc if crc is not None else record_crc(seq, op, t, data)})
 
 
 def decode_record(line):
@@ -269,8 +261,7 @@ class JournalStorage(IStorage):
         """Write ``snapshot-<seq>.json`` atomically (tmp + rename)."""
         self.flush()
         seq = state_canonical["op_seq"]
-        state_json = json.dumps(state_canonical, sort_keys=True,
-                                separators=(",", ":"))
+        state_json = canonical_json(state_canonical)
         payload = {
             "schema": JOURNAL_SCHEMA,
             "seq": seq,
@@ -278,22 +269,9 @@ class JournalStorage(IStorage):
             "crc": "{:08x}".format(
                 binascii.crc32(state_json.encode("utf-8")) & 0xFFFFFFFF),
         }
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=self.directory, suffix=".tmp", delete=False)
-        try:
-            with handle:
-                json.dump(payload, handle, sort_keys=True,
-                          separators=(",", ":"))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(handle.name, self._snapshot_path(seq))
-        except OSError:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
-        return self._snapshot_path(seq)
+        path = self._snapshot_path(seq)
+        atomic_write(path, canonical_json(payload), durable=True)
+        return path
 
     def compact(self, state_canonical):
         """Snapshot, then atomically drop journaled ops it covers.
@@ -317,21 +295,8 @@ class JournalStorage(IStorage):
                     if record["seq"] >= seq:
                         kept.append(line.rstrip("\n"))
         self.compact_kept = len(kept)
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=self.directory, suffix=".tmp", delete=False)
-        try:
-            with handle:
-                for line in kept:
-                    handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(handle.name, self.path)
-        except OSError:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path, "".join(line + "\n" for line in kept),
+                     durable=True)
         return path
 
     # -- recovery ----------------------------------------------------------
@@ -349,8 +314,7 @@ class JournalStorage(IStorage):
             try:
                 with open(path) as handle:
                     payload = json.load(handle)
-                state_json = json.dumps(payload["state"], sort_keys=True,
-                                        separators=(",", ":"))
+                state_json = canonical_json(payload["state"])
                 crc = "{:08x}".format(
                     binascii.crc32(state_json.encode("utf-8"))
                     & 0xFFFFFFFF)

@@ -19,7 +19,7 @@ deterministic: two serial runs of the same population produce
 byte-identical streams once those fields are stripped
 (:func:`strip_wallclock`), which is what the stream goldens pin. The
 validator (:func:`validate_events`, :func:`validate_stream_dir`) is
-shared by the tests, ``tools/check_telemetry_schema.py`` and the
+shared by the tests, ``tools/check_schema.py telemetry`` and the
 telemetry-smoke CI job: every line must parse, event types must be
 known, required fields must be present, and sequence numbers must be
 gapless per (file, stream).
@@ -27,6 +27,8 @@ gapless per (file, stream).
 
 import json
 import os
+
+from repro.io import canonical_json as _canonical_json
 
 #: Bump on incompatible stream changes; events carry it as ``v``.
 SCHEMA_VERSION = 1
@@ -113,8 +115,7 @@ def canonical_events(events):
 
 def canonical_json(events):
     """Canonical bytes of a stream (for digests and goldens)."""
-    return "\n".join(json.dumps(event, sort_keys=True,
-                                separators=(",", ":"))
+    return "\n".join(_canonical_json(event)
                      for event in canonical_events(events))
 
 

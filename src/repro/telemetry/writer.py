@@ -12,10 +12,10 @@ gapless from 0.
 """
 
 import itertools
-import json
 import os
 import time
 
+from repro.io import canonical_json
 from repro.telemetry.schema import SCHEMA_VERSION
 
 # Distinguishes successive writers for the same stream within one
@@ -57,9 +57,7 @@ class TelemetryWriter:
                   "stream": self.stream, "seq": self.seq,
                   "fp": self.fp, "t_wall": round(time.time(), 3)}
         record.update(fields)
-        self._handle.write(
-            json.dumps(record, sort_keys=True,
-                       separators=(",", ":")) + "\n")
+        self._handle.write(canonical_json(record) + "\n")
         self.seq += 1
 
     def close(self):

@@ -49,12 +49,3 @@ def test_sweep_expired_spares_busy_and_young_leases():
     phone.run_for(seconds=50.0)  # released, but not idle long enough
     assert manager.sweep_expired() == 0
     assert len(manager.leases) == 1
-
-
-def test_sweep_expired_accepts_an_external_clock():
-    phone, manager = _idle_phone(gc_sweep_interval_s=0.0)
-    phone.run_for(seconds=50.0)
-    # An external sweeper (the service cadence) evaluates idleness at
-    # its own time without advancing the simulation.
-    assert manager.sweep_expired(now=phone.sim.now + 200.0) == 1
-    assert manager.gc_removed == 1

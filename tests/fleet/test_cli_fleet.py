@@ -3,10 +3,14 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 from contextlib import redirect_stdout
 
 import pytest
+
+import repro
 
 from repro.cli import main
 
@@ -139,3 +143,56 @@ def test_fleet_checkpoints_land_under_results_by_default(tmp_path,
     expected = os.path.join("results", ".fleet",
                             population.fingerprint()[:12])
     assert runner.checkpoint_dir == expected
+
+
+# Makes os.replace fail as on a full disk, for shard checkpoints only.
+_FAIL_CHECKPOINT_PUBLISH = """
+import errno, os
+real_replace = os.replace
+def replace(src, dst):
+    if os.path.basename(dst).startswith("shard_"):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), dst)
+    return real_replace(src, dst)
+"""
+
+
+def test_failed_checkpoint_write_fails_the_run(tmp_path, monkeypatch):
+    from repro.experiments.grid import GridRunner
+    from repro.fleet.population import PopulationSpec
+    from repro.fleet.shard import FleetRunner
+
+    population = PopulationSpec(seed=5, devices=4, shard_size=2,
+                                minutes=2.0)
+    ck = tmp_path / "ck"
+    runner = FleetRunner(population, runner=GridRunner(jobs=1, cache=False),
+                         checkpoint_dir=str(ck))
+    fake = {}
+    exec(_FAIL_CHECKPOINT_PUBLISH, fake)
+    monkeypatch.setattr(os, "replace", fake["replace"])
+    with pytest.raises(OSError):
+        runner.run_shards()
+    monkeypatch.undo()
+    assert os.listdir(str(ck)) == []  # no checkpoint, no stray .tmp
+
+    # The CLI must exit non-zero instead of offering a resume that
+    # would only loop: nothing was checkpointed.
+    script = _FAIL_CHECKPOINT_PUBLISH + (
+        "os.replace = replace\n"
+        "import sys\n"
+        "from repro.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n")
+    cli_ck = tmp_path / "cli-ck"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(repro.__file__))))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "fleet", "--devices", "8",
+         "--shard-size", "4", "--minutes", "2", "--no-cache",
+         "--checkpoint-dir", str(cli_ck),
+         "--report-json", str(tmp_path / "fleet.json")],
+        cwd=str(tmp_path), env=env, capture_output=True, text=True,
+        timeout=300)
+    assert done.returncode != 0
+    assert "No space left on device" in done.stderr
+    assert "Re-run the same command" not in done.stdout + done.stderr
+    assert os.listdir(str(cli_ck)) == []
+    assert not (tmp_path / "fleet.json").exists()

@@ -18,6 +18,8 @@ from repro.scenarios.catalog import (
 )
 from repro.scenarios.families import FAMILIES, RESOURCE_DRIVERS
 
+from tests.conftest import check_schema
+
 # Entry keys are ``scenario:<family>:<resource>:<index>`` and the
 # registry is process-global, so the compositions here are chosen to
 # collide with neither the default catalog's nor the committed
@@ -102,6 +104,17 @@ def test_committed_example_catalog_parses():
     cat = ScenarioCatalog.from_file("tests/data/scenario_catalog_example.json")
     assert len(cat.entries) == 3
     assert cat.entries[2]["params"] == {"burst_s": 12.0}
+
+
+def test_lint_tool_instantiates_the_example_and_fails_other_files(
+        tmp_path, capsys):
+    assert check_schema("catalog", "--instantiate",
+                        "tests/data/scenario_catalog_example.json") == 0
+    assert check_schema("catalog", "tests/data/telemetry_example.jsonl") == 1
+    other = tmp_path / "report.json"
+    other.write_text(json.dumps({"kind": "fleet_report", "schema": 1}))
+    assert check_schema("catalog", str(other)) == 1
+    capsys.readouterr()
 
 
 # -- deterministic materialisation -------------------------------------------

@@ -1,23 +1,15 @@
 """The committed journal example and its schema lint tool."""
 
-import importlib.util
 import json
 import os
 
 from repro.service import JournalStorage, LeaseService
 from repro.service.storage import JOURNAL_NAME
 
+from tests.conftest import check_schema
+
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "data",
-                       "service_journal_example.jsonl")
-
-
-def _tool():
-    path = os.path.join(os.path.dirname(__file__), "..", "..", "tools",
-                        "check_journal_schema.py")
-    spec = importlib.util.spec_from_file_location("check_journal", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+                       "journal_example.jsonl")
 
 
 def test_committed_example_recovers_cleanly(tmp_path):
@@ -34,8 +26,7 @@ def test_committed_example_recovers_cleanly(tmp_path):
 
 def test_lint_tool_passes_the_example_and_fails_garbage(tmp_path,
                                                         capsys):
-    module = _tool()
-    assert module.main(["--replay", EXAMPLE]) == 0
+    assert check_schema("journal", "--replay", EXAMPLE) == 0
     out = capsys.readouterr().out
     assert "fingerprint" in out
 
@@ -47,10 +38,10 @@ def test_lint_tool_passes_the_example_and_fails_garbage(tmp_path,
                           separators=(",", ":"))
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n")
-    assert module.main([str(bad)]) == 1  # crc no longer matches
+    assert check_schema("journal", str(bad)) == 1  # crc no longer matches
 
     gap = tmp_path / "gap.jsonl"
     gap.write_text("\n".join(lines[:3] + lines[5:6]) + "\n")
-    assert module.main([str(gap)]) == 1
-    assert module.main([str(tmp_path / "absent.jsonl")]) == 1
+    assert check_schema("journal", str(gap)) == 1
+    assert check_schema("journal", str(tmp_path / "absent.jsonl")) == 1
     capsys.readouterr()

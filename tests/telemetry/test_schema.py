@@ -14,6 +14,8 @@ from repro.telemetry.schema import (
     validate_stream_file,
 )
 
+from tests.conftest import check_schema
+
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "data",
                        "telemetry_example.jsonl")
 
@@ -116,16 +118,9 @@ def test_committed_example_stream_validates_as_finished():
 
 def test_lint_tool_passes_the_example_and_fails_garbage(tmp_path,
                                                         capsys):
-    import importlib.util
-
-    tool = os.path.join(os.path.dirname(__file__), "..", "..", "tools",
-                        "check_telemetry_schema.py")
-    spec = importlib.util.spec_from_file_location("check_schema", tool)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.main(["--require-finished", EXAMPLE]) == 0
+    assert check_schema("telemetry", "--require-finished", EXAMPLE) == 0
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"v": 1, "event": "nope"}\n')
-    assert module.main([str(bad)]) == 1
-    assert module.main([str(tmp_path / "absent.jsonl")]) == 1
+    assert check_schema("telemetry", str(bad)) == 1
+    assert check_schema("telemetry", str(tmp_path / "absent.jsonl")) == 1
     capsys.readouterr()

@@ -1,0 +1,80 @@
+"""``repro.io``: the canonical JSON format and the atomic publish."""
+
+import json
+import os
+
+import pytest
+
+from repro.io import atomic_write, canonical_json
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
+
+
+def test_canonical_json_is_the_sorted_compact_format():
+    sample = {
+        "zeta": [{"b": 2, "a": 1}, {"d": [0.1 + 0.2, 1e-300], "c": None}],
+        "alpha": {"name": "café ☃", "x": 1 / 3, "y": -0.0},
+        "mid": [True, False, 2 ** 53 + 1, "tab\tquote\""],
+    }
+    expected = json.dumps(sample, sort_keys=True, separators=(",", ":"))
+    assert canonical_json(sample) == expected
+    assert canonical_json(sample).startswith('{"alpha":{"name":"caf\\u00e9')
+    assert "0.30000000000000004" in canonical_json(sample)
+    assert json.loads(canonical_json(sample)) == sample
+
+
+def test_atomic_write_replaces_the_content(tmp_path):
+    path = str(tmp_path / "entry.json")
+    atomic_write(path, "old\n")
+    atomic_write(path, "new\n")
+    with open(path) as handle:
+        assert handle.read() == "new\n"
+    assert os.listdir(str(tmp_path)) == ["entry.json"]
+
+
+def test_failed_replace_keeps_the_old_file_and_no_tmp(tmp_path,
+                                                       monkeypatch):
+    path = str(tmp_path / "entry.json")
+    atomic_write(path, "old\n")
+
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        atomic_write(path, "new\n")
+    monkeypatch.undo()
+    with open(path) as handle:
+        assert handle.read() == "old\n"
+    assert os.listdir(str(tmp_path)) == ["entry.json"]
+
+
+@pytest.mark.parametrize("durable, fsyncs", [(False, 0), (True, 1)])
+def test_only_durable_writes_fsync(tmp_path, monkeypatch, durable,
+                                   fsyncs):
+    calls = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        calls.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    atomic_write(str(tmp_path / "f"), "text", durable=durable)
+    assert len(calls) == fsyncs
+
+
+def test_no_hand_rolled_atomic_write_or_canonical_json_outside_io():
+    patterns = ("NamedTemporaryFile", "os.replace",
+                'separators=(",", ":")')
+    offenders = []
+    for root, __, names in os.walk(SRC):
+        for name in names:
+            path = os.path.join(root, name)
+            relpath = os.path.relpath(path, SRC)
+            if name.endswith(".py") and relpath != "io.py":
+                with open(path) as handle:
+                    text = handle.read()
+                offenders += [relpath + ": " + pattern
+                              for pattern in patterns if pattern in text]
+    assert offenders == []
