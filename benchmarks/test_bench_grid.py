@@ -18,10 +18,10 @@ import time
 from repro.apps.buggy import BUGGY_CASES
 from repro.device.power import EnergyLedger
 from repro.experiments import table5
-from repro.experiments.grid import GridRunner
+from repro.experiments.grid import GridRunner, default_supervisor
 
 #: Simulated minutes per case: scaled up so per-job compute dominates
-#: pool startup, mirroring production-size sweeps.
+#: worker startup, mirroring production-size sweeps.
 MINUTES = 150.0
 
 
@@ -50,7 +50,10 @@ def test_bench_grid_speedup(results_path, tmp_path):
         lambda: table5.run(cases=cases, minutes=MINUTES,
                            runner=GridRunner(jobs=1)))
 
-    cold = GridRunner(jobs=4, cache=cache_dir)
+    # The supervisor GridRunner(jobs=4) would build for itself, passed in
+    # so its stats say whether the batch fell back to in-process runs.
+    supervisor = default_supervisor()
+    cold = GridRunner(jobs=4, cache=cache_dir, supervisor=supervisor)
     parallel_rows, parallel_s = _timed(
         lambda: table5.run(cases=cases, minutes=MINUTES, runner=cold))
     assert table5.render(parallel_rows) == table5.render(serial_rows)
@@ -84,8 +87,8 @@ def test_bench_grid_speedup(results_path, tmp_path):
     }
     if cpu_count == 1:
         # Fan-out is clamped to the single core (effective serial run),
-        # so the "parallel" column measures pool-free execution, not a
-        # speedup -- annotate rather than publish a misleading <1.0.
+        # so the "parallel" column measures one worker, not a speedup --
+        # annotate rather than publish a misleading <1.0.
         payload["parallel_note"] = (
             "single-core machine: jobs clamped to 1, parallel_speedup "
             "is serial-vs-serial noise, not a fan-out measurement")
@@ -97,6 +100,7 @@ def test_bench_grid_speedup(results_path, tmp_path):
     assert serial_s / warm_s >= 2.0
     # O(1) running totals: latency must not scale with the rail count.
     assert large / small < 8.0
-    # Fan-out only pays on multi-core hardware; gate there, record anywhere.
-    if (os.cpu_count() or 1) >= 4 and cold.stats.pool_fallbacks == 0:
+    # Fan-out only pays on multi-core hardware with worker processes;
+    # gate there, record anywhere.
+    if cpu_count >= 4 and supervisor.stats.serial_fallbacks == 0:
         assert serial_s / parallel_s >= 2.0

@@ -8,11 +8,13 @@ simulations. This module makes that structure first-class:
   (one ``run_case`` invocation, referenced by case key and mitigation
   name) or a :class:`FuncSpec` (a module-level function plus scalar
   kwargs);
-- :class:`GridRunner` fans specs out over a
-  ``concurrent.futures.ProcessPoolExecutor`` (``jobs`` argument, or the
-  ``REPRO_JOBS`` environment variable; ``jobs=1`` or an unavailable pool
-  degrades gracefully to in-process serial execution) and always returns
-  results in *spec order*, regardless of completion order;
+- :class:`GridRunner` runs a batch in process when it has one worker
+  (``jobs`` argument, or the ``REPRO_JOBS`` environment variable;
+  default 1) and otherwise fans it out over the reused fork workers of
+  a :class:`~repro.resilience.supervisor.Supervisor` -- the runner's
+  own, or :func:`default_supervisor`'s, which stops at the first failed
+  job. Results always come back in *spec order*, regardless of
+  completion order;
 - completed jobs are memoised in a content-addressed on-disk cache
   (JSON files under ``results/.cache/`` by default) keyed by a stable
   hash of the spec plus a code-version salt, so re-running a sweep after
@@ -21,16 +23,13 @@ simulations. This module makes that structure first-class:
 Only the *scalar* fields of a case run cross process boundaries (see
 :class:`JobResult`); app and phone objects stay worker-local. Callers
 that need live objects (e.g. ``lease_activity`` sampling the lease
-manager) keep calling :func:`repro.experiments.runner.run_case` directly,
-or pass ``full=True`` to :meth:`GridRunner.run` which forces serial,
-uncached, in-process execution and returns full ``CaseRun`` objects.
+manager) call :func:`repro.experiments.runner.run_case` directly.
 """
 
 import hashlib
 import importlib
 import json
 import os
-import sys
 
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -241,8 +240,8 @@ class JobSpec:
             overrides["profile"] = PROFILES[overrides["profile"]]
         return overrides
 
-    def execute(self, full=False):
-        """Run the case. ``full=True`` returns the live ``CaseRun``."""
+    def execute(self):
+        """Run the case; its scalar fields as a :class:`JobResult`."""
         from repro.experiments.runner import run_case
 
         case = resolve_case(self.case_key)
@@ -250,8 +249,6 @@ class JobSpec:
         result = run_case(case, factory, minutes=self.minutes,
                           seed=self.seed, warmup_s=self.warmup_s,
                           **self._resolved_overrides())
-        if full:
-            return result
         return JobResult(
             case_key=result.case_key,
             mitigation=result.mitigation,
@@ -302,13 +299,8 @@ class FuncSpec:
                        for k, v in self.kwargs],
         }
 
-    def execute(self, full=False):
+    def execute(self):
         return _import_obj(self.func)(**dict(self.kwargs))
-
-
-def _execute_spec(spec):
-    """Module-level trampoline so specs run under a process pool."""
-    return spec.execute()
 
 
 # -- the cache ----------------------------------------------------------------
@@ -370,9 +362,11 @@ class ResultCache:
                        "result": encode_result(result)}
         except TypeError:
             return False  # result not cache-serialisable; run uncached
-        os.makedirs(self.directory, exist_ok=True)
         # Atomic publish so concurrent runners never read a torn file.
+        # An unusable directory, like a failed write, leaves the run
+        # uncached rather than failing a job that has already computed.
         try:
+            os.makedirs(self.directory, exist_ok=True)
             atomic_write(self._path(self.key_for(spec)),
                          json.dumps(payload))
         except OSError:
@@ -390,10 +384,6 @@ class RunnerStats:
     executed: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    pool_batches: int = 0
-    serial_batches: int = 0
-    pool_fallbacks: int = 0
-    supervised_batches: int = 0
     failed: int = 0  # supervised jobs that ended in quarantine
 
     def as_dict(self):
@@ -405,6 +395,21 @@ def _default_jobs():
         return max(1, int(os.environ.get("REPRO_JOBS", "1")))
     except ValueError:
         return 1
+
+
+def default_supervisor():
+    """The supervisor an unsupervised :class:`GridRunner` runs a batch
+    with more than one effective worker on.
+
+    No retries: the first failed job stops the batch with
+    :class:`~repro.resilience.errors.JobQuarantined`. No harness faults
+    (``REPRO_HARNESS_FAULTS`` is for supervised runs) and no sim budget.
+    """
+    from repro.resilience.hooks import HarnessFaults
+    from repro.resilience.supervisor import Supervisor
+
+    return Supervisor(max_retries=0, fail_fast=True,
+                      harness_faults=HarnessFaults())
 
 
 class GridRunner:
@@ -419,6 +424,11 @@ class GridRunner:
     deadline/retry/quarantine state machine and jobs that end in
     quarantine come back as ``None`` entries (recorded in
     ``supervisor.manifest``) instead of failing the whole run.
+
+    Without one, a batch that gets one effective worker runs in process
+    and a job's exception propagates unchanged; a batch that gets more
+    runs on a :func:`default_supervisor`, so its first failed job raises
+    :class:`~repro.resilience.errors.JobQuarantined`.
     """
 
     def __init__(self, jobs=None, cache=None, salt=None, supervisor=None):
@@ -434,16 +444,11 @@ class GridRunner:
         self.cache = cache
         self.supervisor = supervisor
         self.stats = RunnerStats()
-        #: Why the last pool bootstrap failed, or None (structured
-        #: counterpart of the one-time stderr fallback log).
-        self.pool_fallback_reason = None
-        self._pool_fallback_logged = False
+        self._default_supervisor = None
 
-    def run(self, specs, full=False, labels=None, on_result=None):
+    def run(self, specs, labels=None, on_result=None):
         """Execute ``specs``; results come back in spec order.
 
-        ``full=True`` is the live-object opt-out: serial, in-process,
-        uncached, for callers that need ``CaseRun.phone``/``app``.
         ``labels`` (parallel to ``specs``) names jobs for supervision
         and harness-fault matching. ``on_result(index, spec, result)``
         fires per completed spec -- for cache hits immediately, for
@@ -454,17 +459,6 @@ class GridRunner:
         """
         specs = list(specs)
         self.stats.submitted += len(specs)
-        if full:
-            self.stats.serial_batches += 1
-            self.stats.executed += len(specs)
-            out = []
-            for index, spec in enumerate(specs):
-                result = spec.execute(full=True)
-                out.append(result)
-                if on_result is not None:
-                    on_result(index, spec, result)
-            return out
-
         results = [None] * len(specs)
         pending = {}  # spec -> [indices]; dedups repeats within a batch
         label_for = {}
@@ -496,8 +490,8 @@ class GridRunner:
                     results[index] = result
         return results
 
-    def run_one(self, spec, full=False):
-        return self.run([spec], full=full)[0]
+    def run_one(self, spec):
+        return self.run([spec])[0]
 
     # -- internals ---------------------------------------------------------
 
@@ -505,88 +499,44 @@ class GridRunner:
     def effective_jobs(self):
         """Worker count after clamping to the machine's core count.
 
-        Fanning four workers out on a single core only adds pool and
+        Fanning four workers out on a single core only adds fork and
         pickling overhead on top of the same serial compute (observed as
         a bogus <1.0 "speedup" in BENCH_grid.json on 1-core machines).
         """
         return min(self.jobs, os.cpu_count() or 1)
 
-    def _execute(self, specs, label_for=None, on_complete=None):
+    def _execute(self, specs, label_for, on_complete):
         """Run deduped specs; ``{spec: result}`` for the successes.
 
         ``on_complete(spec, result)`` is invoked exactly once per
         successful spec, in completion order (it writes the cache and
         feeds the caller's ``on_result``).
         """
-        on_complete = on_complete or (lambda spec, result: None)
-        if self.supervisor is not None:
-            return self._execute_supervised(specs, label_for, on_complete)
-        workers = min(self.effective_jobs, len(specs))
-        if workers > 1:
-            try:
-                return self._execute_pool(specs, workers, on_complete)
-            except _pool_unavailable_errors() as exc:
-                self.stats.pool_fallbacks += 1
-                self._note_pool_fallback(exc)
-        self.stats.serial_batches += 1
-        out = {}
-        for spec in specs:
-            result = spec.execute()
-            self.stats.executed += 1
-            out[spec] = result
-            on_complete(spec, result)
-        return out
-
-    def _execute_pool(self, specs, workers, on_complete):
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {spec: pool.submit(_execute_spec, spec)
-                       for spec in specs}
-            out = {spec: future.result()
-                   for spec, future in futures.items()}
-        self.stats.pool_batches += 1
-        self.stats.executed += len(specs)
-        for spec, result in out.items():
-            on_complete(spec, result)
-        return out
-
-    def _execute_supervised(self, specs, label_for, on_complete):
-        self.stats.supervised_batches += 1
+        supervisor = self.supervisor
+        if supervisor is None:
+            if min(self.effective_jobs, len(specs)) <= 1:
+                out = {}
+                for spec in specs:
+                    result = spec.execute()
+                    self.stats.executed += 1
+                    out[spec] = result
+                    on_complete(spec, result)
+                return out
+            # One for the runner's lifetime: a host without worker
+            # processes then warns once, not once per batch.
+            if self._default_supervisor is None:
+                self._default_supervisor = default_supervisor()
+            supervisor = self._default_supervisor
         labels = None
         if label_for:
-            labels = [label_for.get(spec,
-                                    self.supervisor.label_for(spec, index))
+            labels = [label_for.get(spec, supervisor.label_for(spec, index))
                       for index, spec in enumerate(specs)]
-        out = self.supervisor.execute(
+        out = supervisor.execute(
             specs, labels=labels, workers=self.effective_jobs,
             on_result=on_complete)
         self.stats.executed += len(out)
         self.stats.failed += len(specs) - len(out)
         return out
-
-    def _note_pool_fallback(self, exc):
-        self.pool_fallback_reason = "{}: {}".format(type(exc).__name__,
-                                                    exc)
-        if not self._pool_fallback_logged:
-            self._pool_fallback_logged = True
-            print("grid: process pool unavailable ({}); falling back to "
-                  "serial in-process execution".format(
-                      self.pool_fallback_reason), file=sys.stderr)
-
-
-def _pool_unavailable_errors():
-    """The exception classes that mean "no process pool here".
-
-    Deliberately narrow: a job's own exception (bad spec, simulation
-    bug) must propagate, not silently re-run serially. Pool-bootstrap
-    failures are import errors (no ``_multiprocessing``), OS errors
-    (no ``/dev/shm``, seccomp-blocked ``sem_open``), or a pool whose
-    workers were killed before finishing (``BrokenExecutor``).
-    """
-    from concurrent.futures import BrokenExecutor
-
-    return (ImportError, NotImplementedError, OSError, BrokenExecutor)
 
 
 def runner_from_args(args):
@@ -597,7 +547,7 @@ def runner_from_args(args):
     programmatic behaviour is unchanged unless opted in. Subcommands
     that declare supervision flags (``--job-timeout``, ``--max-retries``,
     ``--fail-fast``/``--degrade``: currently ``chaos`` and ``fleet``)
-    get a supervised runner; the rest keep the unsupervised fast path.
+    get a supervised runner; the rest run unsupervised.
     """
     no_cache = getattr(args, "no_cache", False)
     cache_dir = getattr(args, "cache_dir", None)
@@ -610,8 +560,8 @@ def supervisor_from_args(args):
     """A Supervisor from CLI supervision flags, or ``None``.
 
     Only subcommands whose parser declared the flags (marked by the
-    ``supervised`` attribute) run supervised, so plain grid commands
-    keep their historical dispatch path.
+    ``supervised`` attribute) run supervised; plain grid commands get
+    :class:`GridRunner`'s unsupervised dispatch.
     """
     if not getattr(args, "supervised", False):
         return None

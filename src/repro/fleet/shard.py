@@ -2,8 +2,8 @@
 
 A shard is the unit of dispatch, caching and checkpointing. Each shard
 job is an ordinary :class:`~repro.experiments.grid.FuncSpec` calling
-:func:`run_shard` with scalars only, so shards fan out through the
-existing :class:`~repro.experiments.grid.GridRunner` process pool and
+:func:`run_shard` with scalars only, so shards fan out over the
+existing :class:`~repro.experiments.grid.GridRunner`'s workers and
 memoise in its content-addressed result cache. Inside the worker every
 device-day is simulated, summarised, folded into the shard's
 :class:`~repro.fleet.stats.FleetStats`, and *discarded* -- a shard's
@@ -271,7 +271,7 @@ def run_shard(population_json, start, stop, mode="kernel",
     """Simulate devices [start, stop) under every mitigation.
 
     Module-level with scalar kwargs only, so it dispatches as a
-    :class:`FuncSpec` (process pool + content-addressed cache). Returns
+    :class:`FuncSpec` (worker processes + content-addressed cache). Returns
     the shard summary: per-mitigation ``FleetStats`` dicts plus
     bookkeeping -- size O(1) in the device count.
 
@@ -529,13 +529,14 @@ class FleetRunner:
         Shards are dispatched in index order through the grid runner and
         each completed shard's summary is checkpointed *the moment it
         completes* (the runner's ``on_result`` hook), so a kill loses at
-        most the in-flight shards (less with the grid cache warm). Under
-        a supervised runner the whole pending set is handed over in one
-        call -- the supervisor owns concurrency, deadlines and retries
-        -- and shards that end in quarantine simply come back without a
-        result: their checkpoints are never written (a timed-out shard
-        must not publish partial state) and their indices land in
-        ``quarantined_shards``. Returns the number of shards executed.
+        most the in-flight shards (less with the grid cache warm). The
+        whole pending set is handed over in one call -- the runner owns
+        concurrency, and its supervisor deadlines and retries -- and
+        under a degrading supervisor shards that end in quarantine
+        simply come back without a result: their checkpoints are never
+        written (a timed-out shard must not publish partial state) and
+        their indices land in ``quarantined_shards``. Returns the number
+        of shards executed.
         """
         table_json = self._ensure_table() \
             if self.mode == "vector" else None
@@ -553,55 +554,44 @@ class FleetRunner:
                 self.population.fingerprint()[:12]
         if supervisor is not None:
             supervisor.telemetry = self.telemetry
+        specs, labels = [], []
+        for shard_index in pending:
+            start, stop = self.population.shard_range(shard_index)
+            if self.mode == "vector":
+                # The extra kwargs separate table-replayed shard results
+                # from kernel ones in the grid cache; a kernel dispatch
+                # omits them so its cache keys never change.
+                specs.append(FuncSpec.make(
+                    run_shard, population_json=population_json,
+                    start=start, stop=stop, mode=self.mode,
+                    table_json=table_json))
+            else:
+                specs.append(FuncSpec.make(
+                    run_shard, population_json=population_json,
+                    start=start, stop=stop))
+            labels.append(self.shard_label(shard_index))
         executed = [0]
 
-        def dispatch(batch):
-            specs, labels = [], []
-            for shard_index in batch:
-                start, stop = self.population.shard_range(shard_index)
-                if self.mode == "vector":
-                    # The extra kwargs separate table-replayed shard
-                    # results from kernel ones in the grid cache; a
-                    # kernel dispatch omits them so its cache keys
-                    # never change.
-                    specs.append(FuncSpec.make(
-                        run_shard, population_json=population_json,
-                        start=start, stop=stop, mode=self.mode,
-                        table_json=table_json))
-                else:
-                    specs.append(FuncSpec.make(
-                        run_shard, population_json=population_json,
-                        start=start, stop=stop))
-                labels.append(self.shard_label(shard_index))
-
-            def checkpoint(index, spec, summary):
-                shard_index = batch[index]
-                self._write_checkpoint(shard_index, summary)
-                executed[0] += 1
-                if self.telemetry is not None:
-                    # Runner-side, so cache hits and supervised retries
-                    # are announced exactly once each.
-                    self.telemetry.shard_finished(shard_index, summary)
-                if self.verbose:
-                    print("fleet: shard {}/{} done".format(
-                        shard_index + 1, self.population.shard_count),
-                        file=sys.stderr)
-
-            summaries = self.runner.run(specs, labels=labels,
-                                        on_result=checkpoint)
-            for shard_index, summary in zip(batch, summaries):
-                if summary is None:
-                    self.quarantined_shards.append(shard_index)
+        def checkpoint(index, spec, summary):
+            shard_index = pending[index]
+            self._write_checkpoint(shard_index, summary)
+            executed[0] += 1
+            if self.telemetry is not None:
+                # Runner-side, so cache hits and supervised retries are
+                # announced exactly once each.
+                self.telemetry.shard_finished(shard_index, summary)
+            if self.verbose:
+                print("fleet: shard {}/{} done".format(
+                    shard_index + 1, self.population.shard_count),
+                    file=sys.stderr)
 
         saved_env = self._export_telemetry_env()
         try:
-            if supervisor is not None:
-                if pending:
-                    dispatch(pending)
-            else:
-                batch_size = max(self.runner.effective_jobs, 1)
-                for offset in range(0, len(pending), batch_size):
-                    dispatch(pending[offset:offset + batch_size])
+            summaries = self.runner.run(specs, labels=labels,
+                                        on_result=checkpoint)
+            for shard_index, summary in zip(pending, summaries):
+                if summary is None:
+                    self.quarantined_shards.append(shard_index)
         finally:
             self._restore_telemetry_env(saved_env)
             # An interrupt mid-dispatch keeps every checkpoint already

@@ -267,7 +267,6 @@ class Supervisor:
         #: / budget abort also lands in the run's telemetry stream.
         self.telemetry = None
         self._sleep = sleep
-        self._serial_reason = None
         self._serial_logged = False
         self._run_base = self.stats.as_dict()
         self._mp_context = None
@@ -321,8 +320,13 @@ class Supervisor:
                 else:
                     self._run_serial(jobs, results, on_result)
             except KeyboardInterrupt:
-                raise RunInterrupted(len(results),
-                                     len(jobs) - len(results)) from None
+                # Only Ctrl-C/SIGTERM: a fail-fast stop is no interrupt.
+                outstanding = len(jobs) - len(results)
+                self.stats.interrupted += outstanding
+                print("supervisor: interrupted with {} job(s) outstanding; "
+                      "completed work is flushed".format(outstanding),
+                      file=sys.stderr)
+                raise RunInterrupted(len(results), outstanding) from None
         return results
 
     @staticmethod
@@ -332,11 +336,6 @@ class Supervisor:
             func = getattr(spec, "func", "")
             token = func.rpartition(":")[2] or type(spec).__name__
         return "job:{:04d}:{}".format(index, token)
-
-    @property
-    def serial_reason(self):
-        """Why process mode was abandoned, or ``None``."""
-        return self._serial_reason
 
     # -- mode selection ----------------------------------------------------
 
@@ -378,7 +377,6 @@ class Supervisor:
                   "running jobs in-process -- hung jobs cannot be "
                   "preempted, only budget-aborted".format(reason),
                   file=sys.stderr)
-        self._serial_reason = reason
 
     # -- process mode ------------------------------------------------------
 
@@ -425,8 +423,6 @@ class Supervisor:
                         self._expire(worker, pending, waiting)
         except BaseException:
             self._reap(active)
-            if pending or waiting or active:
-                self._note_interrupt(results, jobs)
             raise
         finally:
             for worker in idle:
@@ -543,34 +539,29 @@ class Supervisor:
     def _run_serial(self, jobs, results, on_result):
         pending = deque(jobs)
         waiting = []
-        try:
-            while pending or waiting:
-                if not pending:
-                    eligible = min(e for e, __ in waiting)
-                    self._sleep(max(0.0, eligible - time.monotonic()))
-                    now = time.monotonic()
-                    still = []
-                    for eligible_at, job in waiting:
-                        if eligible_at <= now:
-                            pending.append(job)
-                        else:
-                            still.append((eligible_at, job))
-                    waiting = still
-                    continue
-                job = pending.popleft()
-                job.attempt += 1
-                self.stats.attempts += 1
-                started = time.monotonic()
-                outcome = self._attempt_serial(job)
-                elapsed = time.monotonic() - started
-                if isinstance(outcome, _Failure):
-                    self._fail(job, outcome, elapsed, pending, waiting)
-                else:
-                    self._succeed(job, outcome[0], results, on_result)
-        except BaseException:
-            if pending or waiting:
-                self._note_interrupt(results, jobs)
-            raise
+        while pending or waiting:
+            if not pending:
+                eligible = min(e for e, __ in waiting)
+                self._sleep(max(0.0, eligible - time.monotonic()))
+                now = time.monotonic()
+                still = []
+                for eligible_at, job in waiting:
+                    if eligible_at <= now:
+                        pending.append(job)
+                    else:
+                        still.append((eligible_at, job))
+                waiting = still
+                continue
+            job = pending.popleft()
+            job.attempt += 1
+            self.stats.attempts += 1
+            started = time.monotonic()
+            outcome = self._attempt_serial(job)
+            elapsed = time.monotonic() - started
+            if isinstance(outcome, _Failure):
+                self._fail(job, outcome, elapsed, pending, waiting)
+            else:
+                self._succeed(job, outcome[0], results, on_result)
 
     def _attempt_serial(self, job):
         """One in-process attempt; a ``_Failure`` or ``(result,)``."""
@@ -666,10 +657,3 @@ class Supervisor:
               file=sys.stderr)
         if self.fail_fast:
             raise JobQuarantined(job.label, job.attempt, failure.error)
-
-    def _note_interrupt(self, results, jobs):
-        outstanding = len(jobs) - len(results)
-        self.stats.interrupted += outstanding
-        print("supervisor: interrupted with {} job(s) outstanding; "
-              "completed work is flushed".format(outstanding),
-              file=sys.stderr)

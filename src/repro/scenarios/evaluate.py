@@ -13,7 +13,7 @@
 
 Each (entry, mitigation) day is a module-level :func:`scenario_day`
 dispatched as a :class:`~repro.experiments.grid.FuncSpec`, so the grid
-runner's process pools, supervision and content-addressed caching all
+runner's worker processes, supervision and content-addressed caching all
 apply; aggregation folds the flat per-day scalars into per-family
 :class:`~repro.fleet.stats.FleetStats`, the same mergeable accumulators
 the fleet reports use. The report is canonical JSON (key-sorted,

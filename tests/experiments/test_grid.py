@@ -1,4 +1,4 @@
-"""The grid runner: determinism, caching, fallback, codec, opt-outs."""
+"""The grid runner: determinism, caching, fallback, codec, one pool."""
 
 import pytest
 
@@ -90,8 +90,6 @@ def test_parallel_table5_matches_serial_byte_identical():
         table5.run(cases=cases, minutes=2.0, runner=runner))
     assert parallel == serial
     assert runner.stats.executed == len(cases) * len(table5.MITIGATIONS)
-    # Only one of pool/serial paths ran; either way the output matched.
-    assert runner.stats.pool_batches + runner.stats.serial_batches == 1
 
 
 def test_warm_cache_runs_zero_fresh_simulations(tmp_path):
@@ -164,7 +162,18 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     assert runner.stats.executed == 1
 
 
-# -- fallback + opt-outs -----------------------------------------------------
+def test_unusable_cache_directory_degrades_like_a_failed_write(tmp_path):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    cache_dir = str(blocker / "cache")
+    spec = FuncSpec.make(_five)
+    assert ResultCache(cache_dir).store(spec, 5) is False
+    runner = GridRunner(cache=cache_dir)
+    assert runner.run([spec]) == [5]
+    assert runner.stats.executed == 1
+
+
+# -- one process pool --------------------------------------------------------
 
 def _five():
     return 5
@@ -174,20 +183,68 @@ def _const(value):
     return value
 
 
-def test_pool_failure_falls_back_to_serial(monkeypatch):
+def _fail(value):
+    raise ValueError("job {} failed".format(value))
+
+
+def test_parallel_failure_raises_job_quarantined_after_streaming(
+        monkeypatch):
     import os
 
-    def broken(self, specs, workers, on_complete):
-        raise OSError("no process pool in this sandbox")
+    from repro.resilience import JobQuarantined
 
-    monkeypatch.setattr(GridRunner, "_execute_pool", broken)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # defeat 1-core clamp
+    runner = GridRunner(jobs=2)
+    specs = [FuncSpec.make(_const, value=v) for v in (1, 2, 3)]
+    specs.append(FuncSpec.make(_fail, value=4))
+    streamed = {}
+
+    def on_result(index, spec, result):
+        streamed[index] = result
+
+    with pytest.raises(JobQuarantined, match="ValueError: job 4 failed"):
+        runner.run(specs, on_result=on_result)
+    # The failing job is dispatched only once two others have finished
+    # on the two workers, and each finished result is streamed at once.
+    assert len(streamed) >= 2
+    assert all(streamed[index] == index + 1 for index in streamed)
+
+
+def test_parallel_batch_runs_in_process_without_worker_processes(
+        monkeypatch, capsys):
+    import multiprocessing
+    import os
+
+    def unavailable(method=None):
+        raise OSError("no worker processes in this sandbox")
+
+    monkeypatch.setattr(multiprocessing, "get_context", unavailable)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)  # defeat 1-core clamp
     runner = GridRunner(jobs=4)
     specs = [FuncSpec.make(_const, value=v) for v in (1, 2, 3)]
     assert runner.run(specs) == [1, 2, 3]
-    assert runner.stats.pool_fallbacks == 1
     assert runner.stats.executed == 3
-    assert runner.stats.serial_batches == 1
+    assert "worker processes unavailable" in capsys.readouterr().err
+
+
+def test_only_the_supervisor_starts_processes():
+    import os
+
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src",
+                       "repro")
+    allowed = os.path.join("resilience", "supervisor.py")
+    offenders = []
+    for root, __, names in os.walk(src):
+        for name in names:
+            path = os.path.join(root, name)
+            relpath = os.path.relpath(path, src)
+            if name.endswith(".py") and relpath != allowed:
+                with open(path) as handle:
+                    text = handle.read()
+                offenders += [relpath + ": " + pattern for pattern in
+                              ("concurrent.futures", "multiprocessing")
+                              if pattern in text]
+    assert offenders == []
 
 
 def test_duplicate_specs_execute_once():
@@ -196,16 +253,6 @@ def test_duplicate_specs_execute_once():
     results = runner.run([spec, spec])
     assert results[0] == results[1]
     assert runner.stats.executed == 1
-
-
-def test_full_opt_out_returns_live_objects():
-    runner = GridRunner(jobs=4)
-    result = runner.run_one(JobSpec.make("torch", mitigation="leaseos",
-                                         minutes=1.0), full=True)
-    assert result.phone is not None
-    assert result.app is not None
-    assert result.phone.lease_manager is not None
-    assert runner.stats.serial_batches == 1  # never crosses a process
 
 
 def test_repro_jobs_env_sets_default(monkeypatch):

@@ -91,6 +91,24 @@ def test_interrupted_run_resumes_byte_identical(full_run, tmp_path):
     assert report_json(build_report(POP, merged)) == uninterrupted
 
 
+def test_unsupervised_parallel_fleet_matches_serial(full_run, tmp_path,
+                                                    monkeypatch):
+    serial, __, uninterrupted = full_run
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # defeat 1-core clamp
+    ck = str(tmp_path / "fleet-parallel")
+    parallel = FleetRunner(POP, runner=GridRunner(jobs=2, cache=False),
+                           checkpoint_dir=ck)
+    merged = parallel.run()
+    assert parallel.shards_run == POP.shard_count
+    names = sorted(os.listdir(serial.checkpoint_dir))
+    assert sorted(os.listdir(ck)) == names
+    for name in names:
+        with open(os.path.join(serial.checkpoint_dir, name)) as a, \
+                open(os.path.join(ck, name)) as b:
+            assert a.read() == b.read()
+    assert report_json(build_report(POP, merged)) == uninterrupted
+
+
 def test_completed_run_resumes_without_rerunning(full_run):
     runner, __, uninterrupted = full_run
     again = FleetRunner(POP, runner=_uncached_runner(),

@@ -16,6 +16,7 @@ from repro.resilience import (
     HarnessFaults,
     JobQuarantined,
     RetryPolicy,
+    RunInterrupted,
     Supervisor,
 )
 
@@ -176,6 +177,39 @@ def test_fail_fast_raises_job_quarantined():
         supervisor.execute(_jobs(1))
 
 
+@pytest.mark.parametrize("mode", ["serial", "process"])
+def test_fail_fast_stop_is_not_an_interrupt(mode, capsys):
+    if mode == "process" and not _processes_available():
+        pytest.skip("no processes")
+    supervisor = Supervisor(mode=mode, max_retries=0, fail_fast=True,
+                            harness_faults=HarnessFaults())
+    specs = [FuncSpec.make("math:sqrt", x=2.0)] + _jobs(4)
+    with pytest.raises(JobQuarantined):
+        supervisor.execute(specs, workers=2)
+    assert supervisor.stats.interrupted == 0
+    assert "interrupted" not in capsys.readouterr().err
+
+
+def _interrupt():
+    raise KeyboardInterrupt()
+
+
+def test_keyboard_interrupt_surfaces_as_run_interrupted(capsys):
+    supervisor = Supervisor(mode="serial", harness_faults=HarnessFaults())
+    # Two done, then the interrupted job and the two after it.
+    specs = _jobs(2) + [FuncSpec.make(_interrupt)] + _jobs(4)[2:]
+    completed = []
+    with pytest.raises(RunInterrupted) as excinfo:
+        supervisor.execute(specs,
+                           on_result=lambda spec, result:
+                           completed.append(result))
+    assert (excinfo.value.completed, excinfo.value.outstanding) == (2, 3)
+    assert completed == ["0", "1"]
+    assert supervisor.stats.interrupted == 3
+    assert "interrupted with 3 job(s) outstanding" in \
+        capsys.readouterr().err
+
+
 def test_retry_delays_are_recorded_and_deterministic():
     faults = HarnessFaults.from_json('{"fail": {"*": []}}')
 
@@ -284,7 +318,6 @@ def test_grid_runner_routes_through_the_supervisor(tmp_path):
     specs = _jobs(3)
     results = runner.run(specs)
     assert results == ["0", None, "2"]  # quarantined spec -> None slot
-    assert runner.stats.supervised_batches == 1
     assert runner.stats.failed == 1
     # successes were cached; the quarantined one was not
     warm = GridRunner(cache=str(tmp_path / "cache"),
