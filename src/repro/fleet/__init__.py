@@ -19,6 +19,7 @@ from repro.fleet.fastpath import (
     build_table,
     cross_validate,
     fast_summary,
+    publish_table,
 )
 from repro.fleet.population import (
     DeviceColumns,
@@ -54,6 +55,7 @@ __all__ = [
     "build_table",
     "cross_validate",
     "fast_summary",
+    "publish_table",
     "replay_shard_vector",
     "compose_shard",
     "FleetStats",

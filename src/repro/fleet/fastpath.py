@@ -69,11 +69,12 @@ seed-to-seed variance). Battery life uses the identical
 formula-and-clamp as the kernel (:func:`repro.sim.summary.
 battery_life_h`).
 
-Everything is deterministic: probes are seeded and cached
-(content-addressed, through the grid :class:`~repro.experiments.grid.
-ResultCache`), the table serialises to canonical JSON with a sha256
-fingerprint, and a replayed shard's ``FleetStats`` are bit-identical
-across shard order, kill-and-resume, and numpy presence.
+Everything is deterministic: probes, and the probe set itself, are
+seeded and cached (content-addressed, through the grid
+:class:`~repro.experiments.grid.ResultCache`), the table serialises to
+canonical JSON with a sha256 fingerprint, and a replayed shard's
+``FleetStats`` are bit-identical across shard order, kill-and-resume,
+and numpy presence.
 
 Accuracy is a *measured, stated* contract, not an assumption:
 :func:`cross_validate` runs N seeded random device-days through the
@@ -146,12 +147,17 @@ def jitter_unit(sub_seed):
 #: device-days to beat just running the kernel.
 AUTO_MIN_DEVICES = 512
 
-#: At most this many devices are scanned for needed probes. The
-#: distinct (profile, app, merged-environment) classes saturate within
-#: a few thousand iid samples, so for larger fleets the scan prefix
-#: covers the tail too; a genuinely unseen class simply falls back to
-#: the kernel at replay time (counted and warned, never wrong).
+#: At most this many devices (the first ones, by index) are scanned for
+#: needed probes, so a fleet at or below the cap gets an exact table.
+#: Above it the scan prefix misses classes: at the default sampling law
+#: 1.34% of devices 20,000-219,999 need a probe the scan missed. Each
+#: such device replays on the kernel instead -- never wrong, but
+#: counted in the ``fastpath_fallbacks`` counter and warned about.
 PROBE_SCAN_CAP = 20000
+
+#: Devices the probe scan samples per :meth:`~repro.fleet.population.
+#: PopulationSpec.sample_columns` call: it never holds more rows.
+PROBE_SCAN_CHUNK = 1000
 
 #: Exposure variants probed for the app-free base day: screen off all
 #: day, canonical screen sessions, and sessions plus an all-day suspend
@@ -360,9 +366,10 @@ class TransitionTable:
     ``entries`` maps ``"kind|name|profile|mitigation|variant|env"``
     (``env`` being the class's merged case environment as canonical
     JSON) to the probe's :data:`ENTRY_FIELDS` dict. The table is plain
-    JSON: it rides into shard workers as a ``FuncSpec`` kwarg, and its
-    sha256 fingerprint ties checkpoints and reports to the exact
-    outcomes they were replayed from.
+    JSON, and its sha256 fingerprint ties checkpoints and reports to
+    the exact outcomes they were replayed from. Shard jobs carry only
+    that fingerprint: the table reaches them through
+    :func:`publish_table`.
     """
 
     def __init__(self, minutes, entries=None):
@@ -395,60 +402,141 @@ class TransitionTable:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
 
+#: Tables :func:`publish_table` made replayable in this process, by
+#: fingerprint.
+_PUBLISHED = {}
+
+
+def publish_table(table):
+    """Make ``table`` replayable by fingerprint; returns the fingerprint.
+
+    Vector shard jobs name their table by this fingerprint
+    (:func:`repro.fleet.shard.run_shard`), never by its JSON: an
+    in-process shard reads it here, and a supervised worker inherits it
+    because the worker is forked after the publish (its ``gc.freeze()``
+    at start keeps the inherited table out of its collections).
+    """
+    fingerprint = table.fingerprint()
+    _PUBLISHED[fingerprint] = table
+    return fingerprint
+
+
+def published_table(fingerprint):
+    """The table :func:`publish_table` published under ``fingerprint``.
+
+    Raises :class:`LookupError` naming the fingerprint when this
+    process has no such table: a shard never replays another one.
+    """
+    table = _PUBLISHED.get(fingerprint)
+    if table is None:
+        raise LookupError(
+            "transition table {!r} is not published in this process; a "
+            "vector shard replays only a table published before its "
+            "worker was forked".format(fingerprint))
+    return table
+
+
 def device_probes(device, mitigations):
     """The probe tuples one device's replay will look up."""
-    env = case_env_json(device.buggy_apps)
+    return _class_probes(device.profile, device.normal_apps,
+                        device.buggy_apps, mitigations)
+
+
+def _class_probes(profile, normal_apps, buggy_apps, mitigations):
+    """The probe tuples of a device class: the base day, each normal
+    app, and each buggy case (at the mixed-device variants beside
+    normal apps, ``fg`` without), under every mitigation."""
+    env = case_env_json(buggy_apps)
     probes = []
     for mitigation in mitigations:
         for variant in BASE_VARIANTS:
-            probes.append(("base", "", device.profile, mitigation,
-                           variant, env))
-        for name in device.normal_apps:
+            probes.append(("base", "", profile, mitigation, variant, env))
+        for name in normal_apps:
             for variant in NORMAL_VARIANTS:
-                probes.append(("normal", name, device.profile,
-                               mitigation, variant, env))
-        variants = BUGGY_VARIANTS if device.normal_apps else ("fg",)
-        for key in device.buggy_apps:
+                probes.append(("normal", name, profile, mitigation,
+                               variant, env))
+        variants = BUGGY_VARIANTS if normal_apps else ("fg",)
+        for key in buggy_apps:
             for variant in variants:
-                probes.append(("buggy", key, device.profile, mitigation,
+                probes.append(("buggy", key, profile, mitigation,
                                variant, env))
     return probes
 
 
 def needed_probes(population):
-    """The probe set covering the population's sampled device classes.
+    """The probe set covering the population's sampled device classes,
+    as a sorted list of probe tuples.
 
-    Scans up to :data:`PROBE_SCAN_CAP` devices exactly -- a 4-device
-    test fleet probes a handful of classes, not a cross product, and
-    for larger iid-sampled fleets the class set saturates well inside
-    the scan prefix (an unseen tail class falls back to the kernel at
-    replay, counted and warned).
+    Scans the first :data:`PROBE_SCAN_CAP` devices exactly -- a
+    4-device test fleet probes a handful of classes, not a cross
+    product. Above the cap the prefix misses some classes (see
+    :data:`PROBE_SCAN_CAP`), and their devices fall back to the kernel
+    at replay. The scan reads ``sample_columns`` in
+    :data:`PROBE_SCAN_CHUNK`-device chunks and expands each (profile,
+    buggy apps) class once over every normal app seen beside it, and
+    once alone if some device carries it without a normal app.
     """
+    scanned = min(population.devices, PROBE_SCAN_CAP)
+    # (profile, buggy apps, has a normal app) -> normal apps seen there
+    classes = {}
+    for start in range(0, scanned, PROBE_SCAN_CHUNK):
+        columns = population.sample_columns(
+            start, min(start + PROBE_SCAN_CHUNK, scanned))
+        for profile, normal_apps, buggy_apps in zip(
+                columns.profile, columns.normal_apps, columns.buggy_apps):
+            classes.setdefault((profile, buggy_apps, bool(normal_apps)),
+                               set()).update(normal_apps)
     probes = set()
-    for index in range(min(population.devices, PROBE_SCAN_CAP)):
-        device = population.device(index)
+    for (profile, buggy_apps, __), normal_apps in classes.items():
         # Scenario devices replay on the kernel (see _scenario_guard);
         # probing their classes would simulate days nothing reads.
-        if _scenario_guard(device.buggy_apps) is not None:
-            continue
-        probes.update(device_probes(device, population.mitigations))
+        if _scenario_guard(buggy_apps) is None:
+            probes.update(_class_probes(profile, normal_apps, buggy_apps,
+                                       population.mitigations))
     return sorted(probes)
+
+
+def probe_set(population, cache):
+    """:func:`needed_probes`, memoised in a grid ``ResultCache``.
+
+    Keyed on the population fingerprint, :data:`PROBE_SCHEMA` and
+    :data:`PROBE_SCAN_CAP` (plus the cache's own code-version, package
+    and salt components), so a warm re-run samples no device for its
+    probe set. A miss -- or a corrupt entry, which ``ResultCache.load``
+    discards -- scans in this process: no grid job, no fork.
+    ``cache=None`` scans every time.
+    """
+    from repro.experiments.grid import FuncSpec
+
+    if cache is None:
+        return needed_probes(population)
+    # A cache key, never executed: named by path so a wrapped or
+    # patched needed_probes keys the same entry.
+    spec = FuncSpec.make("repro.fleet.fastpath:needed_probes",
+                         population=population.fingerprint(),
+                         schema=PROBE_SCHEMA, scan_cap=PROBE_SCAN_CAP)
+    probes = cache.load(spec)
+    if probes is None:
+        probes = needed_probes(population)
+        cache.store(spec, probes)
+    return probes
 
 
 def build_table(population, runner=None, verbose=False):
     """Build (or cache-load) the population's transition table.
 
-    Probes fan out through ``runner`` -- the same grid pool, result
-    cache and supervisor the shards use -- so a warm cache rebuilds the
-    table without running a single kernel day, and a quarantined probe
-    simply leaves its entry missing (every device needing it falls
-    back to the kernel rather than failing the run).
+    The probe set comes from :func:`probe_set`, and the probes fan out
+    through ``runner`` -- the same grid pool, result cache and
+    supervisor the shards use -- so a warm cache rebuilds the table
+    without sampling a device or running a kernel day, and a
+    quarantined probe simply leaves its entry missing (every device
+    needing it falls back to the kernel rather than failing the run).
     """
     from repro.experiments.grid import FuncSpec, GridRunner
 
     if runner is None:
         runner = GridRunner()
-    probes = needed_probes(population)
+    probes = probe_set(population, runner.cache)
     specs = [FuncSpec.make(probe_day, kind=kind, name=name,
                            profile=profile, mitigation=mitigation,
                            minutes=population.minutes, variant=variant,

@@ -266,8 +266,7 @@ def fold_shard(stats, columns, normal_apps, buggy_apps):
 
 # -- the shard job ------------------------------------------------------------
 
-def run_shard(population_json, start, stop, mode="kernel",
-              table_json=""):
+def run_shard(population_json, start, stop, mode="kernel", table=""):
     """Simulate devices [start, stop) under every mitigation.
 
     Module-level with scalar kwargs only, so it dispatches as a
@@ -275,15 +274,20 @@ def run_shard(population_json, start, stop, mode="kernel",
     the shard summary: per-mitigation ``FleetStats`` dicts plus
     bookkeeping -- size O(1) in the device count.
 
-    ``mode="vector"`` replays the shard from the transition table in
-    ``table_json`` (:mod:`repro.fleet.vector`, composing the whole
-    shard columnar over :mod:`repro.fleet.fastpath`'s table) instead of
-    running the event kernel, falling back to the kernel per device
-    where the table cannot be trusted. The extra kwargs also mean
-    table-replayed shard results can never collide with kernel ones in
-    the grid's content-addressed cache: a kernel dispatch omits them
-    entirely, so its cache keys are byte-identical to what they always
-    were.
+    ``mode="vector"`` replays the shard from the transition table whose
+    fingerprint is ``table`` (:mod:`repro.fleet.vector`, composing the
+    whole shard columnar over :mod:`repro.fleet.fastpath`'s table)
+    instead of running the event kernel, falling back to the kernel per
+    device where the table cannot be trusted. The table itself must
+    have been published in this process
+    (:func:`~repro.fleet.fastpath.publish_table`; a forked worker
+    inherits its parent's), else this raises :class:`LookupError`
+    naming the fingerprint. The summary's ``"table"`` is that
+    fingerprint. The extra kwargs also mean table-replayed shard
+    results can never collide with kernel ones in the grid's
+    content-addressed cache, nor with another table's: a kernel
+    dispatch omits them entirely, so its cache keys are byte-identical
+    to what they always were.
     """
     if mode not in ("kernel", "vector"):
         raise ValueError("unknown shard mode {!r}".format(mode))
@@ -291,6 +295,10 @@ def run_shard(population_json, start, stop, mode="kernel",
     # module-level import here would be circular.
     from repro.telemetry.emit import shard_telemetry
 
+    if mode == "vector":
+        from repro.fleet.fastpath import published_table
+
+        replay_table = published_table(table)
     population = PopulationSpec.from_json(population_json)
     # Telemetry rides in on environment variables, never kwargs: the
     # shard's content-addressed cache key must not change when a run
@@ -308,13 +316,11 @@ def run_shard(population_json, start, stop, mode="kernel",
             "mode": mode,
         }
         if mode == "vector":
-            from repro.fleet.fastpath import TransitionTable
             from repro.fleet.vector import replay_shard_vector
 
-            table = TransitionTable.from_json(table_json)
             per_mitigation, crashes = replay_shard_vector(
-                population, start, stop, table, telemetry=telem)
-            summary["table"] = table.fingerprint()
+                population, start, stop, replay_table, telemetry=telem)
+            summary["table"] = table
         else:
             per_mitigation, crashes = _kernel_shard(population, start,
                                                     stop, telem)
@@ -419,9 +425,8 @@ class FleetRunner:
                 population.fingerprint()[:12] + suffix)
         self.checkpoint_dir = checkpoint_dir
         self.verbose = verbose
-        #: Lazily built transition table (vector mode only): JSON payload
-        #: and fingerprint, shared by every shard dispatch this run.
-        self._table_json = None
+        #: Fingerprint of the lazily built, published transition table
+        #: (vector mode only), shared by every shard dispatch this run.
         self.table_fingerprint = None
         self.shards_run = 0
         self.shards_resumed = 0
@@ -456,7 +461,13 @@ class FleetRunner:
                             "shard_{:06d}.json".format(shard_index))
 
     def _load_checkpoint(self, shard_index):
-        """A valid checkpoint's summary dict, or None."""
+        """A valid checkpoint's summary dict, or None.
+
+        In vector mode the table is pinned first (:meth:`_ensure_table`,
+        a cache load when warm), so a checkpoint replayed from any other
+        table is stale whichever method asks first.
+        """
+        table = self._ensure_table() if self.mode == "vector" else None
         try:
             with open(self._checkpoint_path(shard_index)) as handle:
                 payload = json.load(handle)
@@ -472,10 +483,7 @@ class FleetRunner:
                 or (summary.get("start"), summary.get("stop"))
                 != (start, stop)
                 or summary.get("mode", "kernel") != self.mode
-                or (self.mode == "vector"
-                    and self.table_fingerprint is not None
-                    and summary.get("table")
-                    != self.table_fingerprint)):
+                or summary.get("table") != table):
             self.rejected_shards.add(shard_index)
             if self.verbose:
                 print("fleet: ignoring stale checkpoint {}".format(
@@ -506,22 +514,25 @@ class FleetRunner:
         return "shard:{:06d}".format(shard_index)
 
     def _ensure_table(self):
-        """The vector engine's transition table JSON, built on first use.
+        """The vector engine's table fingerprint; the table is built and
+        published (:func:`~repro.fleet.fastpath.publish_table`) on first
+        use.
 
-        Probes dispatch through the same grid runner as the shards, so
-        a warm result cache makes this a pure load. Building *before*
-        ``pending_shards`` also pins ``table_fingerprint``, which the
-        checkpoint validator then enforces: a checkpoint replayed from
-        a different table is stale, never served.
+        The probe set and the probes come through the same grid runner
+        as the shards, so a warm result cache makes this a pure load,
+        and computing the fingerprint is the run's only table encode.
+        Shard jobs carry just the fingerprint: supervised workers are
+        forked by the shard dispatch, after the publish, and inherit
+        the table. The checkpoint validator pins it too: a checkpoint
+        replayed from a different table is stale, never served.
         """
-        if self._table_json is None:
-            from repro.fleet.fastpath import build_table
+        if self.table_fingerprint is None:
+            from repro.fleet.fastpath import build_table, publish_table
 
-            table = build_table(self.population, runner=self.runner,
-                                verbose=self.verbose)
-            self._table_json = table.to_json()
-            self.table_fingerprint = table.fingerprint()
-        return self._table_json
+            self.table_fingerprint = publish_table(build_table(
+                self.population, runner=self.runner,
+                verbose=self.verbose))
+        return self.table_fingerprint
 
     def run_shards(self, limit=None):
         """Execute up to ``limit`` pending shards (all by default).
@@ -538,8 +549,7 @@ class FleetRunner:
         their indices land in ``quarantined_shards``. Returns the number
         of shards executed.
         """
-        table_json = self._ensure_table() \
-            if self.mode == "vector" else None
+        table = self._ensure_table() if self.mode == "vector" else None
         pending = self.pending_shards()
         resumed = self.population.shard_count - len(pending)
         self.shards_resumed += resumed
@@ -559,12 +569,12 @@ class FleetRunner:
             start, stop = self.population.shard_range(shard_index)
             if self.mode == "vector":
                 # The extra kwargs separate table-replayed shard results
-                # from kernel ones in the grid cache; a kernel dispatch
-                # omits them so its cache keys never change.
+                # from kernel ones, and one table's from another's, in
+                # the grid cache; a kernel dispatch omits them so its
+                # cache keys never change.
                 specs.append(FuncSpec.make(
                     run_shard, population_json=population_json,
-                    start=start, stop=stop, mode=self.mode,
-                    table_json=table_json))
+                    start=start, stop=stop, mode=self.mode, table=table))
             else:
                 specs.append(FuncSpec.make(
                     run_shard, population_json=population_json,

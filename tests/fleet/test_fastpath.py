@@ -251,7 +251,7 @@ def test_fast_and_kernel_shards_never_share_cache_keys(table):
     fast_spec = FuncSpec.make(run_shard,
                               population_json=population_json,
                               start=0, stop=2, mode="vector",
-                              table_json=table.to_json())
+                              table=table.fingerprint())
     # The kernel dispatch omits the table kwargs entirely, so its cache
     # keys are byte-identical to what they were before table replay
     # existed.
@@ -266,7 +266,7 @@ def test_fast_and_kernel_shards_never_share_cache_keys(table):
     other_spec = FuncSpec.make(run_shard,
                                population_json=population_json,
                                start=0, stop=2, mode="vector",
-                               table_json=other.to_json())
+                               table=other.fingerprint())
     assert cache.key_for(fast_spec) != cache.key_for(other_spec)
 
 

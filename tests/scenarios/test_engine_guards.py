@@ -12,6 +12,7 @@ from repro.fleet.fastpath import (
     _scenario_guard,
     build_table,
     needed_probes,
+    publish_table,
     reset_fallback_warnings,
 )
 from repro.fleet.population import PopulationSpec
@@ -63,11 +64,11 @@ def test_executors_agree_on_scenario_devices():
     n_family_days = sum(len(scenario_families(d.buggy_apps))
                         for d in devices)
     assert n_scenario, "seed lost its scenario devices"
-    table_json = build_table(population).to_json()
+    table = publish_table(build_table(population))
     reset_fallback_warnings()
     kernel = run_shard(population.to_json(), 0, 8)
     vector = run_shard(population.to_json(), 0, 8, mode="vector",
-                       table_json=table_json)
+                       table=table)
     for mitigation in population.mitigations:
         k, v = (run["stats"][mitigation] for run in (kernel, vector))
         # The family counters are exact on both executors (scenario

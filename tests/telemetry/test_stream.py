@@ -59,16 +59,20 @@ def test_shard_streams_are_order_independent_goldens(tmp_path,
 def test_vector_fallback_events_are_order_independent(tmp_path,
                                                       monkeypatch):
     from repro.experiments.grid import GridRunner
-    from repro.fleet.fastpath import build_table, reset_fallback_warnings
+    from repro.fleet.fastpath import (
+        build_table,
+        publish_table,
+        reset_fallback_warnings,
+    )
 
-    table = build_table(CHAOS_POP, runner=GridRunner(
-        jobs=1, cache=str(tmp_path / "cache")))
+    table = publish_table(build_table(CHAOS_POP, runner=GridRunner(
+        jobs=1, cache=str(tmp_path / "cache"))))
     streams = {}
     for name, order in (("a", [0, 1, 2]), ("b", [2, 0, 1])):
         reset_fallback_warnings()  # each order is a run of its own
         _emit_shards(monkeypatch, tmp_path / name, order,
                      population=CHAOS_POP, mode="vector",
-                     table_json=table.to_json())
+                     table=table)
         events, problems = load_stream_dir(str(tmp_path / name))
         assert problems == []
         streams[name] = events
