@@ -10,8 +10,10 @@ scale (:mod:`~repro.fleet.report`). Device-days execute on the event
 kernel, or are replayed from the kernel-validated transition table
 (:mod:`~repro.fleet.fastpath`) by the columnar vectorized engine,
 which composes whole shards at once (:mod:`~repro.fleet.vector`,
-``mode="vector"``; ``mode="auto"`` picks it for large fleets). CLI:
-``python -m repro fleet``.
+``mode="vector"``; ``mode="auto"`` picks it for large fleets). One
+loop, :func:`~repro.fleet.shard.simulate_rows`, runs and records every
+kernel device-day: each device of a kernel shard, and each device the
+table cannot compose. CLI: ``python -m repro fleet``.
 """
 
 from repro.fleet.fastpath import (

@@ -81,9 +81,11 @@ Accuracy is a *measured, stated* contract, not an assumption:
 kernel and the table and asserts every per-metric delta within
 :data:`DEFAULT_TOLERANCES` (see docs/fleet.md for the accuracy model).
 A device the table cannot faithfully replay -- armed fault plan,
-missing or crashed probe, non-finite composition -- **falls back to
-the kernel for that device alone**, with a structured one-time warning
-and a ``fastpath_fallbacks`` counter, instead of degrading the shard.
+scenario app, missing or crashed probe, non-finite composition --
+**falls back to the kernel for that device alone**
+(:func:`repro.fleet.shard.simulate_rows`, with a structured
+once-per-run warning and a ``fastpath_fallbacks`` counter) instead of
+degrading the shard.
 """
 
 import hashlib
@@ -291,7 +293,7 @@ def probe_day(kind, name, profile, mitigation, minutes, variant,
     applied as the final phone overrides; ``schema`` only salts the
     cache key.
     """
-    from repro.fleet.shard import build_device_phone
+    from repro.fleet.shard import build_device_phone, user_day
     from repro.sim.summary import day_summary
 
     device = _probe_device(
@@ -310,15 +312,8 @@ def probe_day(kind, name, profile, mitigation, minutes, variant,
         phone.suspend.add_reason("fastpath.keepawake")
     if variant in ("active", "fg") and session_uids:
         # The kernel path's scripted user day: touches go to the app.
-
-        def scripted_day():
-            for __ in range(device.session_count):
-                yield from phone.user.active_session(
-                    session_uids, device.session_s,
-                    touch_interval=device.touch_interval_s)
-                yield from phone.user.idle_session(device.session_s)
-
-        phone.sim.spawn(scripted_day(), name="fastpath.user")
+        phone.sim.spawn(user_day(phone, device, session_uids),
+                        name="fastpath.user")
     elif variant not in ("idle", "bg_idle"):
         phone.sim.spawn(
             _screen_cycle_day(phone, device.session_count,
@@ -867,40 +862,6 @@ def fast_summary(device, mitigation, table, minutes):
         "fp_apps": fp_apps,
         "fn_apps": fn_apps,
     }
-
-
-# -- fallback warnings ---------------------------------------------------------
-
-#: Fallback reasons already warned about (structured, one line per
-#: distinct reason; every occurrence is still counted). Scoped per
-#: *run*, not per process: :class:`repro.fleet.shard.FleetRunner` calls
-#: :func:`reset_fallback_warnings` at construction so a second run in
-#: the same process warns again instead of staying silent.
-_LOGGED_FALLBACKS = set()
-
-
-def reset_fallback_warnings():
-    """Clear the warn-once dedup set (start of a new fleet run)."""
-    _LOGGED_FALLBACKS.clear()
-
-
-def _log_fallback_once(reason, device_index):
-    # Every occurrence is counted in the shard's telemetry, which gates
-    # its event per shard; the stderr warning is gated per process.
-    from repro.telemetry.emit import active_shard_telemetry
-
-    telem = active_shard_telemetry()
-    if telem is not None:
-        telem.fallback(reason, device_index)
-    if reason in _LOGGED_FALLBACKS:
-        return
-    _LOGGED_FALLBACKS.add(reason)
-    print(json.dumps(
-        {"event": "fastpath_fallback", "reason": reason,
-         "first_device": device_index,
-         "action": "device rerouted to the kernel path; occurrences "
-                   "are counted in the fastpath_fallbacks counter"},
-        sort_keys=True), file=sys.stderr)
 
 
 # -- cross-validation ----------------------------------------------------------

@@ -327,11 +327,6 @@ class PopulationSpec:
             fault_plan_json=fault_plan_json,
         )
 
-    def devices_in(self, start, stop):
-        """Yield DeviceSpecs for a device-index range."""
-        for index in range(start, stop):
-            yield self.device(index)
-
     def sample_columns(self, start, stop):
         """Batch-sample ``[start, stop)`` into :class:`DeviceColumns`.
 

@@ -9,6 +9,13 @@ device-day is simulated, summarised, folded into the shard's
 :class:`~repro.fleet.stats.FleetStats`, and *discarded* -- a shard's
 return value is O(1) in the number of devices it simulated.
 
+:func:`simulate_rows` is the one loop that runs device-days on the
+event kernel: every row of a kernel shard, and every row the
+table-replay engine (:mod:`repro.fleet.vector`) hands back as a
+fallback. It records each day the same way in both: fold columns,
+capped crash records, scenario families, shard telemetry, and the
+run's warn-once stderr lines.
+
 :class:`FleetRunner` drives the shards in index order, writes one
 checkpoint file per completed shard (tagged with the population
 fingerprint and package version), and on a re-run skips every shard
@@ -40,26 +47,18 @@ MAX_CRASH_RECORDS = 20
 
 # -- one device-day -----------------------------------------------------------
 
-#: Distinct device-crash reasons already logged; a 10k-device shard
-#: with one systematic bug logs one line, not 10k. Scoped per *run*:
-#: :class:`FleetRunner` clears it (and the table replay's fallback twin)
-#: at construction, so a second run in the same process warns again.
-_LOGGED_CRASH_REASONS = set()
+#: ``(kind, reason)`` pairs already warned about on stderr, for device
+#: crashes and table-replay fallbacks alike: a 10k-device shard with
+#: one systematic bug logs one line, not 10k, and every occurrence is
+#: still counted. Scoped per *run*: :class:`FleetRunner` clears it at
+#: construction, so a second run in the same process warns again.
+_WARNED = set()
 
 
-def reset_crash_warnings():
-    """Clear the warn-once dedup set (start of a new fleet run)."""
-    _LOGGED_CRASH_REASONS.clear()
-
-
-def _log_device_crash_once(index, mitigation, reason):
-    if reason in _LOGGED_CRASH_REASONS:
-        return
-    _LOGGED_CRASH_REASONS.add(reason)
-    print("fleet: device {} ({}) crashed during simulation: {} "
-          "(logged once per distinct reason; every occurrence is in "
-          "the shard's crash records)".format(index, mitigation, reason),
-          file=sys.stderr)
+def _warn_once(kind, reason, message):
+    if (kind, reason) not in _WARNED:
+        _WARNED.add((kind, reason))
+        print(message, file=sys.stderr)
 
 
 def build_device_phone(device, mitigation, extra_overrides=None):
@@ -125,6 +124,18 @@ def build_device_phone(device, mitigation, extra_overrides=None):
     return phone, buggy_uids, interactive_uids, injector
 
 
+def user_day(phone, device, session_uids):
+    """The scripted user day of every kernel device-day and active
+    probe: ``device.session_count`` sessions touching ``session_uids``
+    every ``touch_interval_s``, each followed by an idle stretch as
+    long as the session."""
+    for __ in range(device.session_count):
+        yield from phone.user.active_session(
+            session_uids, device.session_s,
+            touch_interval=device.touch_interval_s)
+        yield from phone.user.idle_session(device.session_s)
+
+
 def simulate_device_day(device, mitigation, minutes):
     """Run one sampled device-day under one mitigation.
 
@@ -136,16 +147,9 @@ def simulate_device_day(device, mitigation, minutes):
 
     phone, buggy_uids, interactive_uids, injector = \
         build_device_phone(device, mitigation)
-    session_uids = interactive_uids or buggy_uids
-
-    def scripted_day():
-        for __ in range(device.session_count):
-            yield from phone.user.active_session(
-                session_uids, device.session_s,
-                touch_interval=device.touch_interval_s)
-            yield from phone.user.idle_session(device.session_s)
-
-    phone.sim.spawn(scripted_day(), name="fleet.user")
+    phone.sim.spawn(user_day(phone, device,
+                             interactive_uids or buggy_uids),
+                    name="fleet.user")
     mark = phone.energy_mark()
     crashed = 0
     crash_error = ""
@@ -154,7 +158,11 @@ def simulate_device_day(device, mitigation, minutes):
     except Exception as exc:  # noqa: BLE001 -- a dead device still reports
         crashed = 1
         crash_error = "{}: {}".format(type(exc).__name__, exc)
-        _log_device_crash_once(device.index, mitigation, crash_error)
+        _warn_once("crash", crash_error,
+                   "fleet: device {} ({}) crashed during simulation: {} "
+                   "(logged once per distinct reason; every occurrence "
+                   "is in the shard's crash records)".format(
+                       device.index, mitigation, crash_error))
 
     summary = day_summary(phone, mark, buggy_uids=buggy_uids,
                           interactive_uids=interactive_uids)
@@ -172,6 +180,56 @@ def simulate_device_day(device, mitigation, minutes):
 FOLD_COLUMNS = ("system_power_mw", "buggy_power_mw", "battery_life_h",
                 "disruptions", "renewals", "deferrals", "revocations",
                 "fp_apps", "fn_apps", "crashed", "faults_applied")
+
+
+def simulate_rows(population, columns, fallback, data, telemetry):
+    """Run rows of a sampled shard on the event kernel, in row order.
+
+    ``columns`` is the shard's :meth:`~repro.fleet.population.
+    PopulationSpec.sample_columns`; ``fallback`` maps each row to run
+    to the reason the transition table could not compose it, or to
+    None in a kernel shard. Each row's device-day runs under every
+    mitigation (:func:`simulate_device_day`), and its
+    :data:`FOLD_COLUMNS` land in ``data[mitigation][name][row]``.
+    ``telemetry`` (the shard's :class:`~repro.telemetry.emit.
+    ShardTelemetry`, or None) observes each day, attributes the
+    device's scenario families and marks the device done. A fallback
+    row is also counted there, and warned about on stderr once per
+    reason per run. Returns the first :data:`MAX_CRASH_RECORDS`
+    crashed days as ``{"device", "mitigation", "error"}`` records.
+    """
+    crashes = []
+    for row in sorted(fallback):
+        reason = fallback[row]
+        if reason is not None:
+            index = columns.index[row]
+            if telemetry is not None:
+                telemetry.fallback(reason, index)
+            _warn_once("fallback", reason, json.dumps(
+                {"event": "fastpath_fallback", "reason": reason,
+                 "first_device": index,
+                 "action": "device rerouted to the kernel path; "
+                           "occurrences are counted in the "
+                           "fastpath_fallbacks counter"},
+                sort_keys=True))
+        device = columns.spec(row, population)
+        families = scenario_families(device.buggy_apps)
+        for mitigation in population.mitigations:
+            summary = simulate_device_day(device, mitigation,
+                                          population.minutes)
+            for name in FOLD_COLUMNS:
+                data[mitigation][name][row] = summary[name]
+            if summary["crashed"] and len(crashes) < MAX_CRASH_RECORDS:
+                crashes.append({"device": device.index,
+                                "mitigation": mitigation,
+                                "error": summary["crash_error"]})
+            if telemetry is not None:
+                telemetry.observe(summary)
+                if families:
+                    telemetry.observe_families(families)
+        if telemetry is not None:
+            telemetry.device_done()
+    return crashes
 
 
 class _SequentialStats(FleetStats):
@@ -341,32 +399,16 @@ def run_shard(population_json, start, stop, mode="kernel", table=""):
 def _kernel_shard(population, start, stop, telem):
     """Every device-day of [start, stop) on the event kernel; returns
     ``({mitigation: FleetStats}, crashes)``."""
-    columns = {name: {column: [] for column in FOLD_COLUMNS}
-               for name in population.mitigations}
-    normal_apps, buggy_apps = [], []
-    crashes = []
-    for device in population.devices_in(start, stop):
-        normal_apps.append(device.normal_apps)
-        buggy_apps.append(device.buggy_apps)
-        families = scenario_families(device.buggy_apps)
-        for mitigation in population.mitigations:
-            summary = simulate_device_day(
-                device, mitigation, population.minutes)
-            if summary["crashed"] and len(crashes) < MAX_CRASH_RECORDS:
-                crashes.append({"device": device.index,
-                                "mitigation": mitigation,
-                                "error": summary["crash_error"]})
-            for column, values in columns[mitigation].items():
-                values.append(summary[column])
-            if telem is not None:
-                telem.observe(summary)
-                if families:
-                    telem.observe_families(families)
-        if telem is not None:
-            telem.device_done()
+    columns = population.sample_columns(start, stop)
+    rows = len(columns)
+    data = {mitigation: {name: [None] * rows for name in FOLD_COLUMNS}
+            for mitigation in population.mitigations}
+    crashes = simulate_rows(population, columns, dict.fromkeys(range(rows)),
+                            data, telem)
     per_mitigation = {name: _SequentialStats()
                       for name in population.mitigations}
-    fold_shard(per_mitigation, columns, normal_apps, buggy_apps)
+    fold_shard(per_mitigation, data, columns.normal_apps,
+               columns.buggy_apps)
     return per_mitigation, crashes
 
 
@@ -396,18 +438,13 @@ class FleetRunner:
                  verbose=False, mode="kernel", telemetry_dir=None):
         if mode not in ("kernel", "vector", "auto"):
             raise ValueError("unknown fleet mode {!r}".format(mode))
-        # New run: re-arm the warn-once logs so this run's first
-        # fallback/crash of each kind is reported again (satellite of
-        # the vector-engine PR; see reset_crash_warnings).
-        from repro.fleet.fastpath import reset_fallback_warnings
-
-        reset_crash_warnings()
-        reset_fallback_warnings()
+        # New run: re-arm the warn-once set so this run's first
+        # fallback/crash of each reason is reported again.
+        _WARNED.clear()
         self.population = population
         self.runner = runner if runner is not None else GridRunner()
-        # Same per-run scoping for the supervisor: its stats and its
-        # serial-fallback warn-once are lifetime state, and a second
-        # FleetRunner sharing the supervisor must not inherit them.
+        # Same per-run scoping for the supervisor's serial-fallback
+        # warn-once: a second FleetRunner sharing it warns again.
         supervisor = getattr(self.runner, "supervisor", None)
         if supervisor is not None:
             supervisor.begin_run()

@@ -35,11 +35,13 @@ at once:
 
 Fallback tiering: a device with an armed fault plan, a scenario app, a
 missing/crashed probe, or a non-finite composition is routed -- alone
--- through the kernel (:func:`repro.fleet.shard.simulate_device_day`),
-with a structured one-time warning naming the reason
-:func:`~repro.fleet.fastpath._device_guard` gives and the
-``fastpath_fallbacks`` counter; columnar-composed devices are counted
-in ``vector_devices``. When numpy is absent (or
+-- through the kernel shard's own loop
+(:func:`repro.fleet.shard.simulate_rows`), which records its days as
+a kernel shard records them and warns once per run about each reason
+:func:`~repro.fleet.fastpath._device_guard` gives; the
+``fastpath_fallbacks`` counter counts such devices, and
+columnar-composed devices are counted in ``vector_devices``. When
+numpy is absent (or
 ``REPRO_FASTPATH_NUMPY=0``), the engine degrades to per-device
 :func:`~repro.fleet.fastpath.fast_summary` calls over the same
 class-resolution cache -- same numbers, scalar speed -- mirroring the
@@ -52,7 +54,6 @@ table-vs-kernel under its own tolerances, and ``repro fleet --mode
 vector --cross-validate N`` runs it.
 """
 
-from repro.apps.buggy import scenario_families
 from repro.fleet.fastpath import (
     CANONICAL,
     JITTER,
@@ -60,20 +61,13 @@ from repro.fleet.fastpath import (
     _capacity_mj,
     _device_guard,
     _JITTER_SALT,
-    _log_fallback_once,
     _scenario_guard,
     active_seconds,
     case_env_json,
     fast_summary,
     jitter_unit,
 )
-from repro.fleet.shard import (
-    FOLD_COLUMNS,
-    MAX_CRASH_RECORDS,
-    _int_sum,
-    fold_shard,
-    simulate_device_day,
-)
+from repro.fleet.shard import FOLD_COLUMNS, fold_shard, simulate_rows
 from repro.fleet.stats import FleetStats, _numpy
 from repro.sim.summary import MAX_BATTERY_LIFE_H
 
@@ -846,69 +840,46 @@ def _compose_pure(population, columns, classes, rows, fallback):
 
 # -- shard replay --------------------------------------------------------------
 
-def replay_shard_vector(population, start, stop, table,
-                        max_crash_records=None, telemetry=None):
+def replay_shard_vector(population, start, stop, table, telemetry=None):
     """Columnar replay of devices [start, stop); kernel fallback per
     device. Returns ``({mitigation: FleetStats}, crashes)``.
 
-    The shard folds through :func:`repro.fleet.shard.fold_shard`, the
-    kernel path's fold, one batch per metric, plus three engine
-    counters per mitigation: ``fastpath_devices`` (every device),
-    ``fastpath_fallbacks`` (devices rerouted to the kernel) and
-    ``vector_devices`` (devices composed from the table).
-    ``telemetry`` is the shard's
-    :class:`~repro.telemetry.emit.ShardTelemetry` (or None); the whole
-    shard is folded into it in one batch per mitigation -- fallback
-    rows are already overwritten into the columns, so the batch counts
-    every device-day exactly once.
+    Rows the table cannot compose run on the kernel through
+    :func:`repro.fleet.shard.simulate_rows`, the kernel shard's own
+    loop, which overwrites their zero-filled columns and returns the
+    crash records (composed rows never crash). The shard folds through
+    :func:`repro.fleet.shard.fold_shard`, the kernel path's fold, one
+    batch per metric, plus three engine counters per mitigation:
+    ``fastpath_devices`` (every device), ``fastpath_fallbacks``
+    (devices rerouted to the kernel) and ``vector_devices`` (devices
+    composed from the table). ``telemetry`` is the shard's
+    :class:`~repro.telemetry.emit.ShardTelemetry` (or None): the
+    kernel loop observes each rerouted device as it finishes, and the
+    composed rows follow in one batch per mitigation.
     """
-    if max_crash_records is None:
-        max_crash_records = MAX_CRASH_RECORDS
     np = _numpy()
     mitigations = population.mitigations
     columns = population.sample_columns(start, stop)
     classes = _ShardClasses(table, mitigations)
     comp = compose_shard(population, columns, classes, np=np)
-    n = comp.n
+    crashes = simulate_rows(population, columns, comp.fallback, comp.data,
+                            telemetry)
 
-    # Fallback rows run the kernel; their summaries overwrite the
-    # zero-filled columns and carry the crash/fault fields columnar
-    # devices never produce.
-    fallback_rows = sorted(comp.fallback)
-    crashes = []
-    for row in fallback_rows:
-        _log_fallback_once(comp.fallback[row], columns.index[row])
-        device = columns.spec(row, population)
-        families = scenario_families(device.buggy_apps)
-        if telemetry is not None and families:
-            # One attribution per device-day, as the kernel path's
-            # per-mitigation observe_families calls make.
-            telemetry.observe_families(families, count=len(mitigations))
-        for m in mitigations:
-            summary = simulate_device_day(device, m,
-                                          population.minutes)
-            for metric in FOLD_COLUMNS:
-                comp.data[m][metric][row] = summary[metric]
-            if summary["crashed"] and len(crashes) < max_crash_records:
-                crashes.append({"device": device.index,
-                                "mitigation": m,
-                                "error": summary["crash_error"]})
-        if telemetry is not None:
-            telemetry.device_done()
-
-    n_fallback = len(fallback_rows)
+    n_fallback = len(comp.fallback)
     n_vector = len(comp.vector_rows)
     stats = {m: FleetStats() for m in mitigations}
     fold_shard(stats, comp.data, columns.normal_apps, columns.buggy_apps)
     for m in mitigations:
         fold = stats[m]
-        fold.count("fastpath_devices", n)
+        fold.count("fastpath_devices", comp.n)
         if n_fallback:
             fold.count("fastpath_fallbacks", n_fallback)
         fold.count("vector_devices", n_vector)
-        if telemetry is not None:
-            telemetry.observe_batch(comp.data[m]["system_power_mw"], n,
-                                    _int_sum(comp.data[m]["crashed"]))
     if telemetry is not None and n_vector:
+        for m in mitigations:
+            power = comp.data[m]["system_power_mw"]
+            telemetry.observe_batch(
+                [power[row] for row in comp.vector_rows]
+                if n_fallback else power)
         telemetry.device_done(n_vector)
     return stats, crashes

@@ -52,7 +52,7 @@ import traceback
 
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.resilience.errors import (
     InjectedFault,
@@ -151,9 +151,6 @@ class SupervisorStats:
     quarantined: int = 0
     interrupted: int = 0
     serial_fallbacks: int = 0
-
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class _Job:
@@ -268,28 +265,18 @@ class Supervisor:
         self.telemetry = None
         self._sleep = sleep
         self._serial_logged = False
-        self._run_base = self.stats.as_dict()
         self._mp_context = None
 
     def begin_run(self):
-        """Re-scope per-run state at the start of a new run.
+        """Re-arm the serial-fallback warning at the start of a run.
 
         A supervisor outlives individual runs (lifetime ``stats`` are
-        deliberately cumulative), but warn-once gates and the run
-        summary must not leak between runs: without this, a second
+        deliberately cumulative), but its warn-once gate must not leak
+        between them: without this, a second
         :class:`~repro.fleet.shard.FleetRunner` sharing the supervisor
-        in one process never re-prints the serial-fallback warning and
-        ``run_stats`` would report the first run's counters too.
+        in one process never re-prints the serial-fallback warning.
         """
         self._serial_logged = False
-        self._run_base = self.stats.as_dict()
-
-    def run_stats(self):
-        """Counters accrued since the last :meth:`begin_run` (the
-        current run), as a plain dict."""
-        current = self.stats.as_dict()
-        return {name: current[name] - self._run_base.get(name, 0)
-                for name in current}
 
     # -- public API --------------------------------------------------------
 

@@ -18,7 +18,6 @@ from repro.telemetry.emit import (
     PROGRESS_INTERVAL_S,
     RunTelemetry,
     ShardTelemetry,
-    active_shard_telemetry,
     default_telemetry_dir,
     shard_telemetry,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "ShardTelemetry",
     "TelemetryWriter",
     "WALLCLOCK_FIELDS",
-    "active_shard_telemetry",
     "canonical_events",
     "canonical_json",
     "check_report",

@@ -60,17 +60,6 @@ def progress_interval():
         return PROGRESS_INTERVAL_S
 
 
-#: The shard telemetry of the currently-executing shard in this
-#: process, if any -- the hook :func:`repro.fleet.fastpath.
-#: _log_fallback_once` reaches through to attribute fallbacks without
-#: any signature change on the replay paths.
-_ACTIVE_SHARD = None
-
-
-def active_shard_telemetry():
-    return _ACTIVE_SHARD
-
-
 class ShardTelemetry:
     """Per-shard emission state, owned by one ``run_shard`` call.
 
@@ -106,22 +95,21 @@ class ShardTelemetry:
                          mode=self.mode)
 
     def observe(self, summary):
-        """Fold one device-day summary (kernel path)."""
+        """Fold one kernel device-day summary."""
         self.energy.add(summary["system_power_mw"])
         self.device_days += 1
         self.crashed += summary["crashed"]
 
-    def observe_batch(self, power_values, device_days, crashed):
-        """Fold a whole composed shard at once (vector path)."""
-        if device_days:
-            self.energy.add_many(power_values)
-        self.device_days += device_days
-        self.crashed += crashed
+    def observe_batch(self, power_values):
+        """Fold a batch of table-composed device-days at once (vector
+        path); composed days never crash."""
+        self.energy.add_many(power_values)
+        self.device_days += len(power_values)
 
-    def observe_families(self, families, count=1):
-        """Attribute ``count`` device-days to each scenario family."""
+    def observe_families(self, families):
+        """Attribute one device-day to each scenario family."""
         for name in families:
-            self.families[name] = self.families.get(name, 0) + count
+            self.families[name] = self.families.get(name, 0) + 1
 
     def device_done(self, count=1):
         self.devices_done += count
@@ -170,16 +158,12 @@ class ShardTelemetry:
         self._maybe_progress(force=True)
 
     def close(self):
-        global _ACTIVE_SHARD
-        if _ACTIVE_SHARD is self:
-            _ACTIVE_SHARD = None
         self.writer.close()
 
 
 def shard_telemetry(population, shard_index, start, stop, mode):
     """The shard's emitter, or None when telemetry is off (or the
     inherited environment belongs to a different run)."""
-    global _ACTIVE_SHARD
     directory = os.environ.get(ENV_DIR)
     if not directory:
         return None
@@ -189,9 +173,7 @@ def shard_telemetry(population, shard_index, start, stop, mode):
         return None
     writer = TelemetryWriter(directory,
                              "shard-{:06d}".format(shard_index), fp)
-    telemetry = ShardTelemetry(writer, shard_index, start, stop, mode)
-    _ACTIVE_SHARD = telemetry
-    return telemetry
+    return ShardTelemetry(writer, shard_index, start, stop, mode)
 
 
 class RunTelemetry:

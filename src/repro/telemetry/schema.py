@@ -62,8 +62,10 @@ EVENT_FIELDS = {
     # the mergeable partial the watch aggregator folds.
     "shard_finished": ("shard", "start", "stop", "mode", "stats",
                        "crashes"),
-    # A table-replayed device fell back to the kernel. Gated by the
-    # same one-time-per-reason set as the stderr warning.
+    # A table-replayed device fell back to the kernel. Emitted for the
+    # shard's first device of each reason (every one is counted in
+    # shard_progress.fallbacks), so a shard's stream does not depend
+    # on which worker ran it.
     "fallback": ("shard", "reason", "device"),
     # One per *failed* supervisor attempt, recovery or quarantine.
     "supervisor_attempt": ("label", "attempt", "outcome", "error"),

@@ -158,7 +158,7 @@ def test_fallback_devices_fold_kernel_values(monkeypatch):
     # kernel's sequential Welford, so mean/m2 agree to float rounding,
     # not bit-for-bit. Modes never share checkpoints (they are
     # mode-tagged), so nothing depends on cross-mode byte equality.
-    monkeypatch.setattr(fastpath, "_LOGGED_FALLBACKS", set())
+    monkeypatch.setattr("repro.fleet.shard._WARNED", set())
     empty = TransitionTable(CHAOS.minutes)
     stats, crashes = replay_shard_vector(CHAOS, 0, 2, empty)
     kernel = run_shard(CHAOS.to_json(), 0, 2)
@@ -185,7 +185,7 @@ def test_fallback_devices_fold_kernel_values(monkeypatch):
 
 
 def test_fallback_warns_once_per_reason_structured(monkeypatch, capsys):
-    monkeypatch.setattr(fastpath, "_LOGGED_FALLBACKS", set())
+    monkeypatch.setattr("repro.fleet.shard._WARNED", set())
     replay_shard_vector(CHAOS, 0, 2, TransitionTable(CHAOS.minutes))
     lines = [line for line in capsys.readouterr().err.splitlines()
              if "fastpath_fallback" in line]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.grid import GridRunner
-from repro.fleet import fastpath
+from repro.fleet import fastpath, shard
 from repro.fleet.fastpath import (
     JITTER,
     _device_guard,
@@ -37,6 +37,7 @@ from repro.fleet.vector import (
     compose_shard,
     replay_shard_vector,
 )
+from repro.scenarios.catalog import ScenarioCatalog
 
 #: Small-but-real mixed population; its table is built once through a
 #: module-scoped cached grid runner (the test_fastpath idiom).
@@ -53,6 +54,16 @@ CHAOS = PopulationSpec(seed=31, devices=3, shard_size=3, minutes=2.0,
 FG = PopulationSpec(seed=31, devices=4, shard_size=4, minutes=2.0,
                     mitigations=("vanilla", "leaseos"),
                     buggy_prevalence=1.0)
+
+#: Weighted scenario draws and chaos arming together: every draw
+#: ``sample_columns`` makes for a kernel shard's rows.
+SCENARIO_CHAOS = PopulationSpec(
+    seed=31, devices=300, shard_size=100, minutes=2.0,
+    mitigations=("vanilla", "leaseos"), chaos_rate=0.3,
+    catalog_json=ScenarioCatalog.from_file(
+        "tests/data/scenario_catalog_example.json").to_json(),
+    scenario_prevalence=0.3,
+    family_weights=(("late-release", 3.0), ("misleading-burst", 0.5)))
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +134,7 @@ def _oracle_stats(population, table, start, stop):
     device's ``fast_summary`` days, or its kernel
     ``simulate_device_day`` days where the guard (or the composition)
     rejects it, through the shared fold, plus the engine counters."""
-    devices = list(population.devices_in(start, stop))
+    devices = [population.device(index) for index in range(start, stop)]
     columns = {m: {metric: [] for metric in FOLD_COLUMNS}
                for m in population.mitigations}
     fallbacks = 0
@@ -153,7 +164,7 @@ def _oracle_stats(population, table, start, stop):
 # -- batched sampling ----------------------------------------------------------
 
 def test_sample_columns_matches_device_exactly():
-    for population in (POP, CHAOS, FG):
+    for population in (POP, CHAOS, FG, SCENARIO_CHAOS):
         columns = population.sample_columns(0, population.devices)
         assert len(columns) == population.devices
         for row in range(population.devices):
@@ -187,7 +198,7 @@ def test_jitter_factors_bitwise_across_backends():
 
 def test_vector_replay_matches_fast_bitwise(table):
     assert _assert_columns_match_fast_summary(POP, table) == {}
-    fastpath.reset_fallback_warnings()
+    shard._WARNED.clear()
     vec_stats, crashes = replay_shard_vector(POP, 0, POP.devices, table)
     assert crashes == []
     assert _stats_dicts(vec_stats) \
@@ -200,17 +211,17 @@ def test_vector_replay_matches_fast_bitwise(table):
 
 def test_all_buggy_population_composes_columnar(fg_table):
     assert _assert_columns_match_fast_summary(FG, fg_table) == {}
-    fastpath.reset_fallback_warnings()
+    shard._WARNED.clear()
     vec_stats, __ = replay_shard_vector(FG, 0, FG.devices, fg_table)
     for name in FG.mitigations:
         assert vec_stats[name].counters["vector_devices"] == FG.devices
 
 
 def test_pure_python_backend_is_byte_identical(table, monkeypatch):
-    fastpath.reset_fallback_warnings()
+    shard._WARNED.clear()
     with_numpy, __ = replay_shard_vector(POP, 0, POP.devices, table)
     monkeypatch.setenv("REPRO_FASTPATH_NUMPY", "0")
-    fastpath.reset_fallback_warnings()
+    shard._WARNED.clear()
     pure, __ = replay_shard_vector(POP, 0, POP.devices, table)
     assert _stats_dicts(with_numpy) == _stats_dicts(pure)
 
@@ -226,7 +237,7 @@ def test_any_shard_range_replays_identically(table, data):
 # -- fallback tiers ------------------------------------------------------------
 
 def test_fault_plans_route_every_device_to_kernel(table, capsys):
-    fastpath.reset_fallback_warnings()
+    shard._WARNED.clear()
     vec_stats, __ = replay_shard_vector(CHAOS, 0, CHAOS.devices, table)
     for name in CHAOS.mitigations:
         counters = vec_stats[name].counters
@@ -236,7 +247,7 @@ def test_fault_plans_route_every_device_to_kernel(table, capsys):
     assert err.count("fault-plan-armed") == 1  # warned once, not 3x
     replay_shard_vector(CHAOS, 0, CHAOS.devices, table)
     assert "fault-plan-armed" not in capsys.readouterr().err
-    fastpath.reset_fallback_warnings()
+    FleetRunner(CHAOS, runner=GridRunner(jobs=1))  # a new run warns again
     replay_shard_vector(CHAOS, 0, CHAOS.devices, table)
     assert capsys.readouterr().err.count("fault-plan-armed") == 1
 
@@ -244,7 +255,7 @@ def test_fault_plans_route_every_device_to_kernel(table, capsys):
 def test_chaos_replay_folds_kernel_days_bitwise(table):
     # Every CHAOS device falls back: the replay folds the kernel's own
     # simulate_device_day values, one batch per metric, bit for bit.
-    fastpath.reset_fallback_warnings()
+    shard._WARNED.clear()
     vec_stats, __ = replay_shard_vector(CHAOS, 0, CHAOS.devices, table)
     assert _stats_dicts(vec_stats) \
         == _stats_dicts(_oracle_stats(CHAOS, table, 0, CHAOS.devices))
@@ -266,7 +277,7 @@ def test_missing_probes_fall_back_per_device(table):
     fallback = _assert_columns_match_fast_summary(POP, crippled)
     assert all(reason.startswith("missing-probe:normal|{}|".format(
         victim)) for reason in fallback.values())
-    fastpath.reset_fallback_warnings()
+    shard._WARNED.clear()
     vec_stats, __ = replay_shard_vector(POP, 0, POP.devices, crippled)
     assert _stats_dicts(vec_stats) \
         == _stats_dicts(_oracle_stats(POP, crippled, 0, POP.devices))

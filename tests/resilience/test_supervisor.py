@@ -352,29 +352,25 @@ def test_serial_fallback_warns_once_per_run(capsys):
     assert supervisor.stats.serial_fallbacks == 3
 
 
-def test_run_stats_cover_only_the_current_run():
-    supervisor = Supervisor(mode="serial", harness_faults=HarnessFaults())
-    supervisor.execute(_jobs(3))
-    assert supervisor.run_stats()["succeeded"] == 3
-    supervisor.begin_run()
-    assert supervisor.run_stats()["succeeded"] == 0
-    supervisor.execute(_jobs(2))
-    assert supervisor.run_stats()["succeeded"] == 2
-    # Lifetime counters stay cumulative across runs.
-    assert supervisor.stats.succeeded == 5
-
-
-def test_fleet_runner_scopes_the_supervisor_per_run():
+def test_fleet_runner_scopes_the_supervisor_per_run(capsys):
     from repro.fleet.population import PopulationSpec
     from repro.fleet.shard import FleetRunner
 
     supervisor = Supervisor(mode="serial", harness_faults=HarnessFaults())
     supervisor.execute(_jobs(2))  # counters left over from a prior run
+    supervisor._note_serial_fallback(OSError("no semaphores"))
+    supervisor._note_serial_fallback(OSError("no semaphores"))
+    assert capsys.readouterr().err.count(
+        "worker processes unavailable") == 1
     runner = GridRunner(supervisor=supervisor)
     FleetRunner(PopulationSpec(seed=1, devices=2, shard_size=2),
-                runner=runner)
-    assert supervisor.run_stats()["succeeded"] == 0
+                runner=runner)  # a new run re-arms the warning
+    supervisor._note_serial_fallback(OSError("no semaphores"))
+    assert capsys.readouterr().err.count(
+        "worker processes unavailable") == 1
+    # Lifetime counters stay cumulative across runs.
     assert supervisor.stats.succeeded == 2
+    assert supervisor.stats.serial_fallbacks == 3
 
 
 # -- telemetry emission ------------------------------------------------------

@@ -8,12 +8,12 @@ identical ``scenario:<family>`` counters, and (c) telemetry snapshots
 carry the family histogram exactly when scenarios are present.
 """
 
+from repro.fleet import shard
 from repro.fleet.fastpath import (
     _scenario_guard,
     build_table,
     needed_probes,
     publish_table,
-    reset_fallback_warnings,
 )
 from repro.fleet.population import PopulationSpec
 from repro.fleet.shard import run_shard
@@ -65,7 +65,7 @@ def test_executors_agree_on_scenario_devices():
                         for d in devices)
     assert n_scenario, "seed lost its scenario devices"
     table = publish_table(build_table(population))
-    reset_fallback_warnings()
+    shard._WARNED.clear()
     kernel = run_shard(population.to_json(), 0, 8)
     vector = run_shard(population.to_json(), 0, 8, mode="vector",
                        table=table)

@@ -7,6 +7,7 @@ fields are stripped -- independent of dispatch order and of which
 process emitted it.
 """
 
+import hashlib
 import io
 import json
 
@@ -37,9 +38,37 @@ def _emit_shards(monkeypatch, directory, order, population=POP,
     monkeypatch.setenv(ENV_DIR, str(directory))
     monkeypatch.setenv(ENV_FP, population.fingerprint()[:12])
     monkeypatch.setenv(ENV_PROGRESS, "0")  # snapshot per device
-    for shard in order:
-        start, stop = population.shard_range(shard)
-        run_shard(population.to_json(), start, stop, **shard_kwargs)
+    return [run_shard(population.to_json(), *population.shard_range(shard),
+                      **shard_kwargs)
+            for shard in order]
+
+
+def test_kernel_shard_streams_golden(tmp_path, monkeypatch):
+    # Chaos-armed and scenario-app devices on the event kernel: every
+    # part of how a kernel day is recorded (energy moments, crash and
+    # device-day counters, family histograms, fault counts) is pinned
+    # by digest, streams and shard summaries alike.
+    from repro.scenarios.catalog import ScenarioCatalog
+
+    population = PopulationSpec(
+        seed=11, devices=8, shard_size=3, minutes=5.0,
+        mitigations=("vanilla", "leaseos"), chaos_rate=0.5,
+        catalog_json=ScenarioCatalog.from_file(
+            "tests/data/scenario_catalog_example.json").to_json(),
+        scenario_prevalence=0.5)
+    summaries = _emit_shards(monkeypatch, tmp_path, [0, 1, 2],
+                             population=population)
+    events, problems = load_stream_dir(str(tmp_path))
+    assert problems == []
+    progress = [e for e in events if e["event"] == "shard_progress"]
+    assert progress[-1]["scenario_families"]
+    assert all(s["stats"]["vanilla"]["counters"]["faults_applied"]
+               for s in summaries)
+    assert hashlib.sha256(canonical_json(events).encode()).hexdigest() \
+        == "49575a4ee0e234c4fd26cbfb1b15efa9757756de23cc6d7135645a50bdf9ceec"
+    assert hashlib.sha256(json.dumps(summaries, sort_keys=True)
+                          .encode()).hexdigest() \
+        == "f237015fead82856880f171eca091ff335fef957de92551b48b023babaec276e"
 
 
 def test_shard_streams_are_order_independent_goldens(tmp_path,
@@ -59,17 +88,14 @@ def test_shard_streams_are_order_independent_goldens(tmp_path,
 def test_vector_fallback_events_are_order_independent(tmp_path,
                                                       monkeypatch):
     from repro.experiments.grid import GridRunner
-    from repro.fleet.fastpath import (
-        build_table,
-        publish_table,
-        reset_fallback_warnings,
-    )
+    from repro.fleet import shard
+    from repro.fleet.fastpath import build_table, publish_table
 
     table = publish_table(build_table(CHAOS_POP, runner=GridRunner(
         jobs=1, cache=str(tmp_path / "cache"))))
     streams = {}
     for name, order in (("a", [0, 1, 2]), ("b", [2, 0, 1])):
-        reset_fallback_warnings()  # each order is a run of its own
+        shard._WARNED.clear()  # each order is a run of its own
         _emit_shards(monkeypatch, tmp_path / name, order,
                      population=CHAOS_POP, mode="vector",
                      table=table)
@@ -83,6 +109,27 @@ def test_vector_fallback_events_are_order_independent(tmp_path,
               if e["event"] == "fallback"
               and e["reason"] == "fault-plan-armed"}
     assert len(shards) > 1
+
+
+def test_vector_snapshots_count_rerouted_days_as_they_finish(
+        tmp_path, monkeypatch):
+    # Every device is chaos-armed, so the whole vector shard runs on
+    # the kernel: each snapshot already counts the days it finished.
+    from repro.fleet.fastpath import TransitionTable, publish_table
+
+    population = PopulationSpec(seed=31, devices=3, shard_size=3,
+                                minutes=2.0,
+                                mitigations=("vanilla", "leaseos"),
+                                chaos_rate=1.0)
+    table = publish_table(TransitionTable(population.minutes))
+    _emit_shards(monkeypatch, tmp_path, [0], population=population,
+                 mode="vector", table=table)
+    events, __ = load_stream_dir(str(tmp_path))
+    progress = [e for e in events if e["event"] == "shard_progress"]
+    assert [e["devices_done"] for e in progress] == [1, 2, 3, 3]
+    for snapshot in progress:
+        assert snapshot["device_days"] == 2 * snapshot["devices_done"]
+        assert snapshot["energy_mw"]["count"] == snapshot["device_days"]
 
 
 def test_progress_snapshots_carry_mergeable_partials(tmp_path,
@@ -126,27 +173,31 @@ def test_foreign_fingerprint_keeps_the_worker_silent(tmp_path,
 
 def test_fallback_events_are_gated_once_per_reason_per_shard(
         tmp_path, monkeypatch, capsys):
-    from repro.fleet.fastpath import (
-        _log_fallback_once,
-        reset_fallback_warnings,
-    )
+    from repro.fleet import shard
+    from repro.fleet.shard import FOLD_COLUMNS, simulate_rows
     from repro.telemetry.emit import shard_telemetry
+
+    def reroute(telemetry, start, stop, fallback):
+        columns = POP.sample_columns(start, stop)
+        data = {m: {name: [0] * len(columns) for name in FOLD_COLUMNS}
+                for m in POP.mitigations}
+        simulate_rows(POP, columns, fallback, data, telemetry)
 
     monkeypatch.setenv(ENV_DIR, str(tmp_path))
     monkeypatch.setenv(ENV_FP, POP.fingerprint()[:12])
-    reset_fallback_warnings()
+    shard._WARNED.clear()
     first = shard_telemetry(POP, 0, 0, 3, "vector")
     try:
-        _log_fallback_once("fault-plan-armed", 0)
-        _log_fallback_once("fault-plan-armed", 1)
-        _log_fallback_once("probe-crashed", 2)
+        reroute(first, 0, 3, {0: "fault-plan-armed",
+                              1: "fault-plan-armed",
+                              2: "probe-crashed"})
     finally:
         first.close()
     second = shard_telemetry(POP, 1, 3, 6, "vector")
     try:
-        _log_fallback_once("fault-plan-armed", 3)
+        reroute(second, 3, 6, {0: "fault-plan-armed"})
     finally:
-        reset_fallback_warnings()
+        shard._WARNED.clear()
         second.close()
     events, __ = load_stream_dir(str(tmp_path))
     fallbacks = [(e["shard"], e["reason"]) for e in events
