@@ -4,7 +4,11 @@ A held session keeps the audio pipeline powered. Utilization is the
 fraction of hold time that frames were actually being played.
 """
 
-from repro.droid.resources import KernelObject, ResourceType
+from repro.droid.resources import (
+    KernelObject,
+    KernelObjectService,
+    ResourceType,
+)
 
 
 class AudioSessionRecord(KernelObject):
@@ -40,27 +44,20 @@ class AudioSession:
         self._service.close(self.record)
 
 
-class AudioService:
+class AudioService(KernelObjectService):
     name = "audio"
+    kind = "audio"
 
     def __init__(self, sim, monitor, profile):
-        self.sim = sim
+        super().__init__(sim)
         self.monitor = monitor
         self.profile = profile
-        self.records = []
-        self.listeners = []
-        self.gates = []
 
     def open_session(self, app, name="audio-session"):
         app.ipc("audio", "openSession")
         record = AudioSessionRecord(self.sim, app.uid, name)
         self.records.append(record)
-        record.acquire_count += 1
-        record.mark_held(True)
-        allowed = all(gate(record) for gate in self.gates)
-        self._notify("on_audio_open", record, allowed)
-        if allowed:
-            record.mark_active(True)
+        self._admit(record, "on_audio_open")
         return AudioSession(self, record, app)
 
     def start_playback(self, record):
@@ -74,28 +71,24 @@ class AudioService:
         self._refresh_rail(record)
 
     def close(self, record):
-        record.settle_playback(self.sim.now)
-        record._playing_since = None
         record.release_count += 1
         record.mark_held(False)
-        record.mark_active(False)
+        self._deactivate(record)
         record.dead = True
         self._refresh_rail(record)
         self._notify("on_audio_close", record)
 
-    def revoke(self, record):
+    def _activate(self, record):
+        # Nothing plays until start_playback, so the rail stays as is.
+        if not record.os_active:
+            self._mark_honoured(record, True)
+
+    def _deactivate(self, record):
         if record.os_active:
             record.settle_playback(self.sim.now)
             record._playing_since = None
-            record.mark_active(False)
+            self._mark_honoured(record, False)
             self._refresh_rail(record)
-            self._notify("on_audio_revoked", record)
-
-    def restore(self, record):
-        if record.app_held and not record.os_active and not record.dead:
-            record.mark_active(True)
-            self._refresh_rail(record)
-            self._notify("on_audio_restored", record)
 
     def _rail_name(self, record):
         return "audio:{}".format(record.token.id)
@@ -104,9 +97,3 @@ class AudioService:
         playing = record.os_active and record._playing_since is not None
         power = self.profile.audio_mw if playing else 0.0
         self.monitor.set_rail(self._rail_name(record), power, (record.uid,))
-
-    def _notify(self, method, *args):
-        for listener in list(self.listeners):
-            handler = getattr(listener, method, None)
-            if handler is not None:
-                handler(*args)

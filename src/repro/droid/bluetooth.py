@@ -10,7 +10,11 @@ expensive mode (~2-3x the connected draw), and apps forget to call
 
 import enum
 
-from repro.droid.resources import KernelObject, ResourceType
+from repro.droid.resources import (
+    KernelObject,
+    KernelObjectService,
+    ResourceType,
+)
 
 
 class BluetoothMode(enum.Enum):
@@ -47,8 +51,9 @@ class BluetoothSession:
         self._service.set_consumer_active(self.record, active)
 
 
-class BluetoothService:
+class BluetoothService(KernelObjectService):
     name = "bluetooth"
+    kind = "bluetooth"
 
     #: Seconds between scan-result deliveries during discovery.
     DISCOVERY_RESULT_INTERVAL_S = 4.0
@@ -57,22 +62,10 @@ class BluetoothService:
     CONNECTED_RESULT_INTERVAL_S = 3.0
 
     def __init__(self, sim, monitor, profile, rng):
-        self.sim = sim
+        super().__init__(sim)
         self.monitor = monitor
         self.profile = profile
         self.rng = rng
-        self.records = []
-        self._active = set()
-        self.listeners = []
-        self.gates = []
-        #: Monotonic count of activate/deactivate flips -- lets governors
-        #: fingerprint "has anything happened since my last scan?".
-        self.transitions = 0
-
-    @property
-    def active_count(self):
-        """Number of currently honoured sessions. O(1)."""
-        return len(self._active)
 
     # -- app-facing API ------------------------------------------------------
 
@@ -89,50 +82,20 @@ class BluetoothService:
         app.ipc("bluetooth", "open:{}".format(mode.value))
         record = BluetoothRecord(self.sim, app.uid, mode, listener)
         self.records.append(record)
-        record.acquire_count += 1
-        record.mark_held(True)
         self._notify("on_bluetooth_created", record)
-        allowed = all(gate(record) for gate in self.gates)
-        self._notify("on_bluetooth_open", record, allowed)
-        if allowed:
-            self._activate(record)
+        self._admit(record, "on_bluetooth_open")
         return BluetoothSession(self, record)
 
     def close(self, session):
-        record = session.record
-        record.release_count += 1
-        record.mark_held(False)
-        self._settle(record)
-        self._notify("on_bluetooth_close", record)
-        self._deactivate(record)
+        self._release(session.record, "on_bluetooth_close")
 
     def set_consumer_active(self, record, active):
         self._settle(record)
         record.consumer_active = active
 
-    # -- governor ops ------------------------------------------------------------
-
-    def revoke(self, record):
-        if record.os_active:
-            self._deactivate(record)
-            self._notify("on_bluetooth_revoked", record)
-
-    def restore(self, record):
-        if record.app_held and not record.os_active and not record.dead:
-            self._activate(record)
-            self._notify("on_bluetooth_restored", record)
-
-    def kill_app_sessions(self, uid):
-        for record in self.records:
-            if record.uid == uid and not record.dead:
-                record.mark_held(False)
-                self._deactivate(record)
-                record.dead = True
-                self._notify("on_bluetooth_dead", record)
-
     def settle_stats(self):
         for record in self.records:
-            if record in self._active:
+            if record in self._honoured:
                 self._settle(record)
             record.settle()
 
@@ -149,10 +112,8 @@ class BluetoothService:
     def _activate(self, record):
         if record.os_active:
             return
-        record.mark_active(True)
+        self._mark_honoured(record, True)
         record._seg_since = self.sim.now
-        self._active.add(record)
-        self.transitions += 1
         self.monitor.set_rail(self._rail_name(record),
                               self._power_for(record), (record.uid,))
         self._schedule_delivery(record)
@@ -161,10 +122,8 @@ class BluetoothService:
         if not record.os_active:
             return
         self._settle(record)
-        record.mark_active(False)
+        self._mark_honoured(record, False)
         record._seg_since = None
-        self._active.discard(record)
-        self.transitions += 1
         if record._delivery_timer is not None:
             record._delivery_timer.cancel()
             record._delivery_timer = None
@@ -179,7 +138,7 @@ class BluetoothService:
         )
 
     def _deliver(self, record):
-        if record not in self._active:
+        if record not in self._honoured:
             return
         self._settle(record)
         record.results_delivered += 1
@@ -195,9 +154,3 @@ class BluetoothService:
         if elapsed > 0 and record.consumer_active:
             record.consumer_active_time += elapsed
         record._seg_since = now
-
-    def _notify(self, method, *args):
-        for listener in list(self.listeners):
-            handler = getattr(listener, method, None)
-            if handler is not None:
-                handler(*args)

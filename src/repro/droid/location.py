@@ -13,7 +13,11 @@ background location apps keep collecting without an explicit wakelock.
 
 import enum
 
-from repro.droid.resources import KernelObject, ResourceType
+from repro.droid.resources import (
+    KernelObject,
+    KernelObjectService,
+    ResourceType,
+)
 
 
 class GpsState(enum.Enum):
@@ -83,8 +87,9 @@ class LocationRegistration:
         self._service.set_consumer_active(self.record, active)
 
 
-class LocationManagerService:
+class LocationManagerService(KernelObjectService):
     name = "location"
+    kind = "location"
 
     RAIL = "gps"
     #: While searching without lock possibility, retry cadence for
@@ -96,28 +101,16 @@ class LocationManagerService:
     WARM_TTFF_S = 0.8
 
     def __init__(self, sim, monitor, profile, env, rng):
-        self.sim = sim
+        super().__init__(sim)
         self.monitor = monitor
         self.profile = profile
         self.env = env
         self.rng = rng
-        self.records = []
-        self._active = set()  # honoured registrations
-        #: Monotonic count of activate/deactivate flips -- lets governors
-        #: fingerprint "has anything happened since my last scan?".
-        self.transitions = 0
         self.state = GpsState.OFF
-        self.listeners = []
-        self.gates = []
         self._fix_timer = None
         self._total_distance = 0.0
         self._distance_since = None
         self._last_locked_at = None
-
-    @property
-    def active_count(self):
-        """Number of currently honoured registrations. O(1)."""
-        return len(self._active)
 
     # -- app-facing API -----------------------------------------------------
 
@@ -125,38 +118,18 @@ class LocationManagerService:
         app.ipc("location", "requestLocationUpdates")
         record = LocationRecord(self.sim, app.uid, listener, interval)
         self.records.append(record)
-        record.acquire_count += 1
-        record.mark_held(True)
         self._notify("on_location_created", record)
-        allowed = all(gate(record) for gate in self.gates)
-        self._notify("on_location_request", record, allowed)
-        if allowed:
-            self._activate(record)
+        self._admit(record, "on_location_request")
         return LocationRegistration(self, record)
 
     def remove_updates(self, registration):
-        record = registration.record
-        record.release_count += 1
-        record.mark_held(False)
-        self._settle(record)
-        self._notify("on_location_removed", record)
-        self._deactivate(record)
+        self._release(registration.record, "on_location_removed")
 
     def set_consumer_active(self, record, active):
         self._settle(record)
         record.consumer_active = active
 
     # -- governor ops ----------------------------------------------------------
-
-    def revoke(self, record):
-        if record.os_active:
-            self._deactivate(record)
-            self._notify("on_location_revoked", record)
-
-    def restore(self, record):
-        if record.app_held and not record.os_active and not record.dead:
-            self._activate(record)
-            self._notify("on_location_restored", record)
 
     def throttle_interval(self, record, factor):
         """Governor op (DefDroid): lengthen a registration's interval."""
@@ -165,24 +138,14 @@ class LocationManagerService:
             record._delivery_timer.cancel()
             self._schedule_delivery(record)
 
-    def kill_app_registrations(self, uid):
-        for record in self.records:
-            if record.uid == uid and not record.dead:
-                record.mark_held(False)
-                self._deactivate(record)
-                record.dead = True
-                self._notify("on_location_dead", record)
-
     # -- GPS state machine -------------------------------------------------------
 
     def _activate(self, record):
         if record.os_active:
             return
         self._settle_all()
-        record.mark_active(True)
+        self._mark_honoured(record, True)
         record._seg_since = self.sim.now
-        self._active.add(record)
-        self.transitions += 1
         self._update_engine()
         self._refresh_rail_owners()
         if self.state is GpsState.LOCKED:
@@ -193,10 +156,8 @@ class LocationManagerService:
         if not record.os_active:
             return
         self._settle_all()
-        record.mark_active(False)
+        self._mark_honoured(record, False)
         record._seg_since = None
-        self._active.discard(record)
-        self.transitions += 1
         if record._delivery_timer is not None:
             record._delivery_timer.cancel()
             record._delivery_timer = None
@@ -204,7 +165,7 @@ class LocationManagerService:
         self._refresh_rail_owners()
 
     def _update_engine(self):
-        if not self._active:
+        if not self._honoured:
             self._set_state(GpsState.OFF)
             return
         if self.state is GpsState.OFF:
@@ -241,7 +202,7 @@ class LocationManagerService:
         self._set_state(GpsState.LOCKED)
         self._notify_fix_attempt(True)
         distance = self._current_distance()
-        for record in self._active:
+        for record in self._honoured:
             record._last_delivery_distance = distance
             self._schedule_delivery(record)
 
@@ -249,7 +210,7 @@ class LocationManagerService:
         if self.state is not GpsState.LOCKED:
             return
         self._settle_all()
-        for record in self._active:
+        for record in self._honoured:
             if record._delivery_timer is not None:
                 record._delivery_timer.cancel()
                 record._delivery_timer = None
@@ -262,7 +223,7 @@ class LocationManagerService:
         )
 
     def _deliver(self, record):
-        if record not in self._active or self.state is not GpsState.LOCKED:
+        if record not in self._honoured or self.state is not GpsState.LOCKED:
             return
         if not self.env.gps.lock_possible:
             self._lose_fix()
@@ -293,7 +254,7 @@ class LocationManagerService:
         if self.state is GpsState.LOCKED:
             self._last_locked_at = self.sim.now
         self.state = state
-        owners = tuple(sorted({r.uid for r in self._active}))
+        owners = tuple(sorted({r.uid for r in self._honoured}))
         if state is GpsState.OFF:
             self.monitor.set_rail(self.RAIL, 0.0, ())
         elif state is GpsState.SEARCHING:
@@ -304,7 +265,7 @@ class LocationManagerService:
             self._distance_since = self.sim.now
 
     def _refresh_rail_owners(self):
-        owners = tuple(sorted({r.uid for r in self._active}))
+        owners = tuple(sorted({r.uid for r in self._honoured}))
         power = self.monitor.rail_power(self.RAIL)
         self.monitor.set_rail(self.RAIL, power, owners)
 
@@ -334,16 +295,10 @@ class LocationManagerService:
 
     def _settle_all(self):
         self._settle_distance()
-        for record in self._active:
+        for record in self._honoured:
             self._settle(record)
         self._refresh_rail_owners()
 
     def _notify_fix_attempt(self, success):
-        for record in self._active:
+        for record in self._honoured:
             self._notify("on_fix_attempt", record, success)
-
-    def _notify(self, method, *args):
-        for listener in list(self.listeners):
-            handler = getattr(listener, method, None)
-            if handler is not None:
-                handler(*args)

@@ -149,11 +149,9 @@ class Phone:
         """Terminate an app; services clean its kernel objects (§4.3)."""
         app = self.apps[uid]
         app.stop()
-        self.power.kill_app_locks(uid)
-        self.location.kill_app_registrations(uid)
-        self.sensors.kill_app_registrations(uid)
-        self.wifi.kill_app_locks(uid)
-        self.bluetooth.kill_app_sessions(uid)
+        for service in (self.power, self.location, self.sensors, self.wifi,
+                        self.bluetooth):
+            service.kill_app(uid)
         self.broadcasts.unregister_app(uid)
 
     def restart_app(self, uid):

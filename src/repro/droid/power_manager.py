@@ -1,19 +1,17 @@
 """PowerManagerService: wakelocks (partial and screen-bright).
 
-The service keeps the set of *honoured* kernel objects; any honoured
-partial wakelock keeps the CPU awake, any honoured screen wakelock keeps
-the display on. Governors interpose in three ways:
-
-- ``gates``: predicates consulted on acquire; if any denies, the service
-  *pretends* success to the app (the descriptor works, nothing happens);
-- ``revoke(record)`` / ``restore(record)``: temporarily stop/resume
-  honouring an object while the app still thinks it holds it;
-- ``listeners``: notified of create/acquire/release/death for accounting.
+Any honoured partial wakelock keeps the CPU awake, any honoured screen
+wakelock keeps the display on. Gates, revoke/restore, listeners and app
+death come from :class:`~repro.droid.resources.KernelObjectService`.
 """
 
 import enum
 
-from repro.droid.resources import KernelObject, ResourceType
+from repro.droid.resources import (
+    KernelObject,
+    KernelObjectService,
+    ResourceType,
+)
 
 
 class WakeLockLevel(enum.Enum):
@@ -98,23 +96,17 @@ class WakeLock:
         return "WakeLock({!r}, refs={})".format(self._record.name, self._ref_count)
 
 
-class PowerManagerService:
+class PowerManagerService(KernelObjectService):
     """Owns wakelock kernel objects and the device awake state."""
 
     name = "power"
+    kind = "wakelock"
 
     def __init__(self, sim, cpu, suspend, display):
-        self.sim = sim
+        super().__init__(sim)
         self.cpu = cpu
         self.suspend = suspend
         self.display = display
-        self.records = []
-        self._honoured = set()  # records currently os_active
-        self.listeners = []
-        self.gates = []  # callables (record) -> bool allow
-        #: Monotonic count of honour/unhonour flips -- lets governors
-        #: fingerprint "has anything happened since my last scan?".
-        self.transitions = 0
 
     # -- app-facing API ------------------------------------------------------
 
@@ -130,58 +122,24 @@ class PowerManagerService:
     def acquire(self, record):
         if record.dead:
             raise RuntimeError("acquire on dead wakelock {!r}".format(record.name))
-        record.acquire_count += 1
-        record.mark_held(True)
-        allowed = all(gate(record) for gate in self.gates)
-        self._notify("on_wakelock_acquire", record, allowed)
-        if allowed:
-            self._activate(record)
-        else:
+        if not self._admit(record, "on_wakelock_acquire"):
             record.pretended_acquires += 1
 
     def release(self, record):
-        record.release_count += 1
-        record.mark_held(False)
-        self._notify("on_wakelock_release", record)
-        self._deactivate(record)
-
-    def revoke(self, record):
-        """Governor op: stop honouring the lock; the app is unaware."""
-        if record.os_active:
-            self._deactivate(record)
-            self._notify("on_wakelock_revoked", record)
-
-    def restore(self, record):
-        """Governor op: resume honouring a revoked, still-held lock."""
-        if record.app_held and not record.os_active and not record.dead:
-            self._activate(record)
-            self._notify("on_wakelock_restored", record)
-
-    def kill_app_locks(self, uid):
-        """App death: clean all its kernel objects (Section 4.3)."""
-        for record in self.records:
-            if record.uid == uid and not record.dead:
-                record.mark_held(False)
-                self._deactivate(record)
-                record.dead = True
-                self._notify("on_wakelock_dead", record)
+        self._release(record, "on_wakelock_release")
 
     # -- internals ----------------------------------------------------------
 
     def _activate(self, record):
         if record.os_active:
             return
-        record.mark_active(True)
-        self._honoured.add(record)
-        self.transitions += 1
+        self._mark_honoured(record, True)
         self._update_device_state()
 
     def _deactivate(self, record):
         if not record.os_active:
             return
-        record.mark_active(False)
-        self._honoured.discard(record)
-        self.transitions += 1
+        self._mark_honoured(record, False)
         self._update_device_state()
 
     def _update_device_state(self):
@@ -198,14 +156,6 @@ class PowerManagerService:
         ]
         self.display.set_screen_wakelocks(screen_records)
 
-    def honoured_records(self):
-        return frozenset(self._honoured)
-
-    @property
-    def active_count(self):
-        """Number of currently honoured records. O(1)."""
-        return len(self._honoured)
-
     def settle_stats(self):
         """Fold elapsed time into every record's counters (profiling)."""
         for record in self.records:
@@ -216,9 +166,3 @@ class PowerManagerService:
         for record in self._honoured:
             if record.level is WakeLockLevel.SCREEN_BRIGHT:
                 record.interactions += 1
-
-    def _notify(self, method, *args):
-        for listener in list(self.listeners):
-            handler = getattr(listener, method, None)
-            if handler is not None:
-                handler(*args)

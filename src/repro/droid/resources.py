@@ -1,4 +1,5 @@
-"""Resource identities: binder tokens, resource types, kernel objects."""
+"""Resource identities: binder tokens, resource types, kernel objects
+and the services that own them."""
 
 import enum
 import itertools
@@ -112,3 +113,108 @@ class KernelObject:
             type(self).__name__, self.uid, self.token, self.app_held,
             self.os_active,
         )
+
+
+class KernelObjectService:
+    """What every service that owns kernel objects shares (§4.2, §4.3).
+
+    The service keeps every record it created (``records``) and the set
+    it is honouring right now; ``transitions`` counts honour/unhonour
+    flips, so governors can fingerprint "has anything happened since my
+    last scan?". Governors interpose in three ways:
+
+    - ``gates``: predicates consulted on every acquire; if any denies,
+      the service *pretends* success to the app (the descriptor works,
+      nothing happens);
+    - :meth:`revoke` / :meth:`restore`: temporarily stop/resume
+      honouring an object while the app still thinks it holds it
+      (Section 4.6);
+    - ``listeners``: notified of ``on_<kind>_*`` events for accounting,
+      where ``kind`` is the subclass's event stem.
+
+    App death (:meth:`kill_app`) releases and deactivates each of the
+    app's records and marks it dead. A subclass supplies ``kind``, its
+    own ``_activate`` / ``_deactivate`` (which flip records through
+    :meth:`_mark_honoured`) and its app-facing API.
+    """
+
+    #: Stem of this service's listener events, e.g. ``"wakelock"`` for
+    #: ``on_wakelock_revoked``.
+    kind = None
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.records = []
+        self._honoured = set()  # records currently os_active
+        self.listeners = []
+        self.gates = []  # callables (record) -> bool allow
+        #: Monotonic count of honour/unhonour flips.
+        self.transitions = 0
+
+    @property
+    def active_count(self):
+        """Number of currently honoured records. O(1)."""
+        return len(self._honoured)
+
+    def honoured_records(self):
+        return frozenset(self._honoured)
+
+    # -- the acquire/release steps every app-facing API runs ----------------
+
+    def _admit(self, record, event):
+        """The app acquires ``record``; honour it only if every gate
+        allows. Notifies ``event`` with the verdict and returns it."""
+        record.acquire_count += 1
+        record.mark_held(True)
+        allowed = all(gate(record) for gate in self.gates)
+        self._notify(event, record, allowed)
+        if allowed:
+            self._activate(record)
+        return allowed
+
+    def _release(self, record, event):
+        """The app releases ``record``; notifies ``event``."""
+        record.release_count += 1
+        record.mark_held(False)
+        self._notify(event, record)
+        self._deactivate(record)
+
+    # -- governor ops --------------------------------------------------------
+
+    def revoke(self, record):
+        """Stop honouring ``record``; the app is unaware."""
+        if record.os_active:
+            self._deactivate(record)
+            self._notify("on_{}_revoked".format(self.kind), record)
+
+    def restore(self, record):
+        """Resume honouring a revoked, still-held record."""
+        if record.app_held and not record.os_active and not record.dead:
+            self._activate(record)
+            self._notify("on_{}_restored".format(self.kind), record)
+
+    def kill_app(self, uid):
+        """App death: clean all of ``uid``'s kernel objects (Section 4.3)."""
+        for record in self.records:
+            if record.uid == uid and not record.dead:
+                record.mark_held(False)
+                self._deactivate(record)
+                record.dead = True
+                self._notify("on_{}_dead".format(self.kind), record)
+
+    # -- internals -----------------------------------------------------------
+
+    def _mark_honoured(self, record, honoured):
+        """Flip ``record`` into or out of the honoured set."""
+        record.mark_active(honoured)
+        if honoured:
+            self._honoured.add(record)
+        else:
+            self._honoured.discard(record)
+        self.transitions += 1
+
+    def _notify(self, method, *args):
+        for listener in list(self.listeners):
+            handler = getattr(listener, method, None)
+            if handler is not None:
+                handler(*args)

@@ -10,7 +10,11 @@ registered while producing no value for the user.
 
 import enum
 
-from repro.droid.resources import KernelObject, ResourceType
+from repro.droid.resources import (
+    KernelObject,
+    KernelObjectService,
+    ResourceType,
+)
 
 
 class SensorType(enum.Enum):
@@ -56,30 +60,19 @@ class SensorRegistration:
         self._service.set_consumer_active(self.record, active)
 
 
-class SensorManagerService:
+class SensorManagerService(KernelObjectService):
     name = "sensors"
+    kind = "sensor"
 
     #: Sensor events are batched; we deliver at most this often to keep the
     #: event count tractable while preserving duty-cycle power accounting.
     MAX_DELIVERY_HZ = 1.0
 
     def __init__(self, sim, monitor, profile, rng):
-        self.sim = sim
+        super().__init__(sim)
         self.monitor = monitor
         self.profile = profile
         self.rng = rng
-        self.records = []
-        self._active = set()
-        self.listeners = []
-        self.gates = []
-        #: Monotonic count of activate/deactivate flips -- lets governors
-        #: fingerprint "has anything happened since my last scan?".
-        self.transitions = 0
-
-    @property
-    def active_count(self):
-        """Number of currently honoured registrations. O(1)."""
-        return len(self._active)
 
     # -- app-facing API ------------------------------------------------------
 
@@ -87,22 +80,12 @@ class SensorManagerService:
         app.ipc("sensors", "registerListener")
         record = SensorRecord(self.sim, app.uid, sensor_type, listener, rate_hz)
         self.records.append(record)
-        record.acquire_count += 1
-        record.mark_held(True)
         self._notify("on_sensor_created", record)
-        allowed = all(gate(record) for gate in self.gates)
-        self._notify("on_sensor_register", record, allowed)
-        if allowed:
-            self._activate(record)
+        self._admit(record, "on_sensor_register")
         return SensorRegistration(self, record)
 
     def unregister_listener(self, registration):
-        record = registration.record
-        record.release_count += 1
-        record.mark_held(False)
-        self._settle(record)
-        self._notify("on_sensor_unregister", record)
-        self._deactivate(record)
+        self._release(registration.record, "on_sensor_unregister")
 
     def set_consumer_active(self, record, active):
         self._settle(record)
@@ -110,33 +93,15 @@ class SensorManagerService:
 
     # -- governor ops ------------------------------------------------------------
 
-    def revoke(self, record):
-        if record.os_active:
-            self._deactivate(record)
-            self._notify("on_sensor_revoked", record)
-
-    def restore(self, record):
-        if record.app_held and not record.os_active and not record.dead:
-            self._activate(record)
-            self._notify("on_sensor_restored", record)
-
     def throttle_rate(self, record, factor):
         """Governor op (DefDroid): reduce delivery rate."""
         record.rate_hz /= factor
         self._refresh_rail(record)
 
-    def kill_app_registrations(self, uid):
-        for record in self.records:
-            if record.uid == uid and not record.dead:
-                record.mark_held(False)
-                self._deactivate(record)
-                record.dead = True
-                self._notify("on_sensor_dead", record)
-
     def settle_stats(self):
         """Fold elapsed time into every record's counters (profiling)."""
         for record in self.records:
-            if record in self._active:
+            if record in self._honoured:
                 self._settle(record)
             record.settle()
 
@@ -145,10 +110,8 @@ class SensorManagerService:
     def _activate(self, record):
         if record.os_active:
             return
-        record.mark_active(True)
+        self._mark_honoured(record, True)
         record._seg_since = self.sim.now
-        self._active.add(record)
-        self.transitions += 1
         self._refresh_rail(record)
         self._schedule_delivery(record)
 
@@ -156,10 +119,8 @@ class SensorManagerService:
         if not record.os_active:
             return
         self._settle(record)
-        record.mark_active(False)
+        self._mark_honoured(record, False)
         record._seg_since = None
-        self._active.discard(record)
-        self.transitions += 1
         if record._delivery_timer is not None:
             record._delivery_timer.cancel()
             record._delivery_timer = None
@@ -191,7 +152,7 @@ class SensorManagerService:
             )
 
     def _deliver(self, record):
-        if record not in self._active:
+        if record not in self._honoured:
             return
         self._settle(record)
         record.events_delivered += 1
@@ -210,9 +171,3 @@ class SensorManagerService:
         if elapsed > 0 and record.consumer_active:
             record.consumer_active_time += elapsed
         record._seg_since = now
-
-    def _notify(self, method, *args):
-        for listener in list(self.listeners):
-            handler = getattr(listener, method, None)
-            if handler is not None:
-                handler(*args)

@@ -6,7 +6,11 @@ whether the active network is even Wi-Fi. Utilization for a Wi-Fi lock is
 the fraction of hold time the app actually spends transferring.
 """
 
-from repro.droid.resources import KernelObject, ResourceType
+from repro.droid.resources import (
+    KernelObject,
+    KernelObjectService,
+    ResourceType,
+)
 
 
 class WifiLockRecord(KernelObject):
@@ -42,28 +46,17 @@ class WifiLock:
         return self._held
 
 
-class WifiService:
+class WifiService(KernelObjectService):
     name = "wifi"
+    kind = "wifilock"
 
     RAIL = "wifi_lock"
 
     def __init__(self, sim, monitor, profile, env):
-        self.sim = sim
+        super().__init__(sim)
         self.monitor = monitor
         self.profile = profile
         self.env = env
-        self.records = []
-        self._honoured = set()
-        self.listeners = []
-        self.gates = []
-        #: Monotonic count of honour/unhonour flips -- lets governors
-        #: fingerprint "has anything happened since my last scan?".
-        self.transitions = 0
-
-    @property
-    def active_count(self):
-        """Number of currently honoured locks. O(1)."""
-        return len(self._honoured)
 
     def new_lock(self, app, name="wifilock"):
         app.ipc("wifi", "createWifiLock")
@@ -73,36 +66,10 @@ class WifiService:
         return WifiLock(self, record, app)
 
     def acquire(self, record):
-        record.acquire_count += 1
-        record.mark_held(True)
-        allowed = all(gate(record) for gate in self.gates)
-        self._notify("on_wifilock_acquire", record, allowed)
-        if allowed:
-            self._activate(record)
+        self._admit(record, "on_wifilock_acquire")
 
     def release(self, record):
-        record.release_count += 1
-        record.mark_held(False)
-        self._notify("on_wifilock_release", record)
-        self._deactivate(record)
-
-    def revoke(self, record):
-        if record.os_active:
-            self._deactivate(record)
-            self._notify("on_wifilock_revoked", record)
-
-    def restore(self, record):
-        if record.app_held and not record.os_active and not record.dead:
-            self._activate(record)
-            self._notify("on_wifilock_restored", record)
-
-    def kill_app_locks(self, uid):
-        for record in self.records:
-            if record.uid == uid and not record.dead:
-                record.mark_held(False)
-                self._deactivate(record)
-                record.dead = True
-                self._notify("on_wifilock_dead", record)
+        self._release(record, "on_wifilock_release")
 
     def note_transfer(self, uid, duration):
         """Connectivity credits transfer time to the uid's held locks."""
@@ -113,26 +80,16 @@ class WifiService:
     def _activate(self, record):
         if record.os_active:
             return
-        record.mark_active(True)
-        self._honoured.add(record)
-        self.transitions += 1
+        self._mark_honoured(record, True)
         self._refresh_rail()
 
     def _deactivate(self, record):
         if not record.os_active:
             return
-        record.mark_active(False)
-        self._honoured.discard(record)
-        self.transitions += 1
+        self._mark_honoured(record, False)
         self._refresh_rail()
 
     def _refresh_rail(self):
         owners = tuple(sorted({r.uid for r in self._honoured}))
         power = self.profile.wifi_lock_mw if owners else 0.0
         self.monitor.set_rail(self.RAIL, power, owners)
-
-    def _notify(self, method, *args):
-        for listener in list(self.listeners):
-            handler = getattr(listener, method, None)
-            if handler is not None:
-                handler(*args)

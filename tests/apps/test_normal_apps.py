@@ -31,7 +31,7 @@ def test_runkeeper_watchdog_detects_gps_loss(phone_factory):
     phone = phone_factory(gps_quality=0.95, movement_mps=2.5)
     app = phone.install(RunKeeper())
     phone.run_for(minutes=2.0)
-    phone.location.kill_app_registrations(app.uid)
+    phone.location.kill_app(app.uid)
     phone.run_for(minutes=2.0)
     assert app.disruptions
 

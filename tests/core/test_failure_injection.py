@@ -76,7 +76,7 @@ def test_double_kill_app_is_safe():
     app = phone.install(Torch())
     phone.run_for(seconds=2.0)
     phone.kill_app(app.uid)
-    phone.power.kill_app_locks(app.uid)  # again, directly
+    phone.power.kill_app(app.uid)  # again, directly
     phone.run_for(minutes=1.0)
 
 

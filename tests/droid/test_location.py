@@ -149,7 +149,7 @@ def test_kill_app_registrations(loc_phone):
     registration = phone.location.request_location_updates(
         app, app.listener, 2.0
     )
-    phone.location.kill_app_registrations(app.uid)
+    phone.location.kill_app(app.uid)
     assert registration.record.dead
     assert phone.location.state is GpsState.OFF
 

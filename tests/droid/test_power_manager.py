@@ -113,7 +113,7 @@ def test_kill_app_locks_marks_dead(setup):
     phone, app = setup
     lock = phone.power.new_wakelock(app, "w")
     lock.acquire()
-    phone.power.kill_app_locks(app.uid)
+    phone.power.kill_app(app.uid)
     record = lock._record
     assert record.dead
     assert not record.os_active
@@ -123,7 +123,7 @@ def test_kill_app_locks_marks_dead(setup):
 def test_acquire_on_dead_lock_raises(setup):
     phone, app = setup
     lock = phone.power.new_wakelock(app, "w")
-    phone.power.kill_app_locks(app.uid)
+    phone.power.kill_app(app.uid)
     with pytest.raises(RuntimeError):
         lock.acquire()
 
