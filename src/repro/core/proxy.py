@@ -320,6 +320,9 @@ class AudioLeaseProxy(LeaseProxy):
     def on_audio_close(self, record):
         self._remove_lease(record)
 
+    def on_audio_dead(self, record):
+        self._remove_lease(record)
+
     def _current_counters(self, lease):
         record = lease.record
         record.settle_playback(record.sim.now)

@@ -150,7 +150,7 @@ class Phone:
         app = self.apps[uid]
         app.stop()
         for service in (self.power, self.location, self.sensors, self.wifi,
-                        self.bluetooth):
+                        self.bluetooth, self.audio):
             service.kill_app(uid)
         self.broadcasts.unregister_app(uid)
 

@@ -43,6 +43,32 @@ def test_spotify_streams_without_disruption(phone_factory):
     assert not app.disruptions
 
 
+def test_killed_spotify_loses_its_audio_session_and_lease(phone_factory):
+    from repro.droid.resources import ResourceType
+
+    mitigation = LeaseOS()
+    phone = phone_factory(mitigation=mitigation)
+    app = phone.install(Spotify())
+    phone.run_for(minutes=1.0)
+    first = app.session.record
+    rail = "audio:{}".format(first.token.id)
+    assert phone.monitor.rail_power(rail) == phone.profile.audio_mw
+
+    def audio_leases():
+        return [lease for lease in mitigation.manager.leases_for(app.uid)
+                if lease.rtype is ResourceType.AUDIO]
+
+    phone.kill_app(app.uid)
+    assert first.dead and not first.os_active
+    assert phone.monitor.rail_power(rail) == 0.0
+    assert audio_leases() == []
+    phone.restart_app(app.uid)
+    phone.run_for(minutes=1.0)
+    assert [r for r in phone.audio.records if r.os_active] == \
+        [app.session.record]
+    assert [lease.record for lease in audio_leases()] == [app.session.record]
+
+
 def test_haven_monitors_and_logs_motion(phone_factory):
     phone = phone_factory()
     app = phone.install(Haven())
