@@ -73,6 +73,16 @@ class JobScheduler:
         self.sim.schedule(interval_s, lambda: self._due(job))
         return job
 
+    def kill_app(self, uid):
+        """App death: cancel the app's jobs, so neither their next due
+        run nor a policy-queued one acquires the scheduler wakelock that
+        died with the app. A restart's ``on_start`` schedules fresh jobs.
+        """
+        for job in self.jobs:
+            if job.app.uid == uid:
+                job.cancel()
+        self.jobs = [job for job in self.jobs if job.app.uid != uid]
+
     # -- policy integration -------------------------------------------------------
 
     def flush_pending(self):

@@ -146,12 +146,14 @@ class Phone:
         return app
 
     def kill_app(self, uid):
-        """Terminate an app; services clean its kernel objects (§4.3)."""
+        """Terminate an app; services clean its kernel objects (§4.3),
+        the scheduler cancels its jobs."""
         app = self.apps[uid]
         app.stop()
         for service in (self.power, self.location, self.sensors, self.wifi,
                         self.bluetooth, self.audio):
             service.kill_app(uid)
+        self.jobs.kill_app(uid)
         self.broadcasts.unregister_app(uid)
 
     def restart_app(self, uid):

@@ -174,6 +174,22 @@ def test_nextcloud_syncs_via_jobscheduler(phone_factory):
     assert sum(1 for r in records if r.app_held) <= 1
 
 
+def test_killed_nextcloud_jobs_stop_until_restart(phone_factory):
+    from repro.apps.normal.background import NextcloudSync
+
+    phone = phone_factory()
+    app = phone.install(NextcloudSync())
+    phone.run_for(seconds=60.0)
+    phone.kill_app(app.uid)
+    # The job's wakelock died with the app; its next due run must not
+    # try to acquire it.
+    phone.run_for(seconds=300.0)
+    assert app.job.cancelled
+    phone.restart_app(app.uid)
+    phone.run_for(seconds=300.0)
+    assert app.synced >= 1
+
+
 def test_nextcloud_clean_under_leaseos(phone_factory):
     from repro.apps.normal.background import NextcloudSync
     from repro.mitigation import LeaseOS
