@@ -90,6 +90,9 @@ class Phone:
         self.bluetooth = BluetoothService(
             self.sim, self.monitor, profile, random.Random(seed + 505)
         )
+        #: Every service that owns kernel objects, in app-death order.
+        self.kernel_services = (self.power, self.location, self.sensors,
+                                self.wifi, self.bluetooth, self.audio)
         self.net = ConnectivityService(
             self.sim, self.monitor, profile, self.env, self.exceptions,
             self.suspend,
@@ -150,8 +153,7 @@ class Phone:
         the scheduler cancels its jobs."""
         app = self.apps[uid]
         app.stop()
-        for service in (self.power, self.location, self.sensors, self.wifi,
-                        self.bluetooth, self.audio):
+        for service in self.kernel_services:
             service.kill_app(uid)
         self.jobs.kill_app(uid)
         self.broadcasts.unregister_app(uid)

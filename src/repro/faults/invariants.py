@@ -12,8 +12,10 @@ what "wrong" means, independent of any policy under test:
   Fig. 5 rules; direct ``state`` mutation is detected by shadowing;
 - **monotonic simulated time** -- the clock never runs backwards, even
   under event-delivery jitter;
-- **no wakelock honoured after process death** -- once an app's process
-  is killed, none of its kernel wakelock records may stay honoured.
+- **no resource honoured after process death** -- once an app's process
+  is killed, none of its kernel objects, in any kernel-object service
+  (wakelocks, location, sensors, Wi-Fi locks, Bluetooth, audio), may
+  stay honoured.
 
 A checker is attached to one phone and samples periodically on the
 phone's own simulator (plus event-driven hooks where sampling could
@@ -108,9 +110,10 @@ class InvariantChecker:
     # -- process-death tracking (fed by the injector / scenarios) ----------
 
     def note_app_dead(self, uid):
-        """An app's process was killed; its locks must not stay honoured."""
+        """An app's process was killed; its kernel objects must not stay
+        honoured."""
         self._dead_uids.add(uid)
-        self._check_wakelocks()
+        self._check_after_death()
 
     def note_app_alive(self, uid):
         """The app restarted; new kernel objects are legitimate again."""
@@ -124,7 +127,7 @@ class InvariantChecker:
         self._check_monotonic_time()
         self._check_energy_conservation()
         self._check_lease_states()
-        self._check_wakelocks()
+        self._check_after_death()
 
     def _report(self, invariant, detail, **data):
         self.violations.append(InvariantViolation(
@@ -209,16 +212,18 @@ class InvariantChecker:
                     observed=lease.state.value, shadow=shadow[1].value)
                 self._shadow[key] = (lease, lease.state)
 
-    def _check_wakelocks(self):
+    def _check_after_death(self):
         if not self._dead_uids:
             return
-        for record in self.phone.power.honoured_records():
-            if record.uid in self._dead_uids:
-                self._report(
-                    "wakelock_after_death",
-                    "wakelock {!r} of dead uid {} is still honoured".format(
-                        record.name, record.uid),
-                    uid=record.uid, name=record.name)
+        for service in self.phone.kernel_services:
+            for record in service.records:
+                if record.os_active and record.uid in self._dead_uids:
+                    self._report(
+                        "wakelock_after_death",
+                        "{} {!r} of dead uid {} is still honoured".format(
+                            record.rtype.value, record.name, record.uid),
+                        uid=record.uid, name=record.name,
+                        resource=record.rtype.value)
 
 
 # -- service-recovery invariants ---------------------------------------------

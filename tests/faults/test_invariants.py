@@ -166,6 +166,35 @@ def test_kill_app_cleanup_satisfies_the_wakelock_invariant():
     assert checker.ok
 
 
+def test_honoured_records_of_dead_uid_are_violations_in_every_service():
+    from repro.droid.sensors import SensorType
+
+    phone, app = build_phone()
+    checker = InvariantChecker(phone)
+    phone.location.request_location_updates(app, lambda fix: None, 10.0)
+    phone.sensors.register_listener(app, SensorType.LIGHT,
+                                    lambda reading: None)
+    phone.wifi.new_lock(app).acquire()
+    phone.bluetooth.connect(app)
+    phone.audio.open_session(app)
+    checker.note_app_dead(app.uid)  # killed without kernel cleanup
+    checker.detach()
+    flagged = {v.data["resource"] for v in checker.violations
+               if v.invariant == "wakelock_after_death"}
+    assert {"gps", "sensor", "wifi", "bluetooth", "audio"} <= flagged
+
+
+def test_kill_app_cleanup_satisfies_the_invariant_for_audio():
+    phone, app = build_phone()
+    checker = InvariantChecker(phone)
+    phone.audio.open_session(app).start_playback()
+    phone.kill_app(app.uid)
+    checker.note_app_dead(app.uid)
+    checker.check_now()
+    checker.detach()
+    assert checker.ok, checker.summary()
+
+
 # -- plumbing ----------------------------------------------------------------
 
 def test_detach_is_idempotent_and_stops_sampling():
