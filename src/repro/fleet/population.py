@@ -160,8 +160,9 @@ class PopulationSpec:
 
     seed: int = 2019
     devices: int = 1000
-    #: Mitigations compared; "vanilla" is always run (it is the paired
-    #: per-device baseline for waste-reduction quantiles).
+    #: Mitigations compared; "vanilla" is always run first (it is the
+    #: paired per-device baseline for waste-reduction quantiles), then
+    #: the rest in first-seen order without repeats.
     mitigations: tuple = ("vanilla", "leaseos")
     #: Simulated minutes per device-day.
     minutes: float = 30.0
@@ -200,9 +201,9 @@ class PopulationSpec:
             from repro.device.profiles import PROFILES
 
             object.__setattr__(self, "profiles", tuple(sorted(PROFILES)))
-        if "vanilla" not in self.mitigations:
-            object.__setattr__(
-                self, "mitigations", ("vanilla",) + tuple(self.mitigations))
+        object.__setattr__(self, "mitigations", ("vanilla",) + tuple(
+            name for name in dict.fromkeys(self.mitigations)
+            if name != "vanilla"))
         if self.devices < 1:
             raise ValueError("population needs at least one device")
         if not 1 <= self.min_apps <= self.max_apps:

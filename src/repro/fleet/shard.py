@@ -282,7 +282,7 @@ def fold_shard(stats, columns, normal_apps, buggy_apps):
     population order. ``normal_apps``/``buggy_apps`` are the devices'
     installed app tuples. This is the whole fold policy, shared by
     every executor: ``waste_reduction_pct`` and ``battery_delta_h``
-    are observed only for mitigations after vanilla, ``deferrals``
+    are observed for every mitigation but vanilla, ``deferrals``
     only under leaseos, and every metric reaches its sink in one
     ``observe_many`` call per shard -- a :class:`FleetStats` batch-
     merges it, a :class:`_SequentialStats` observes value by value.
@@ -295,16 +295,13 @@ def fold_shard(stats, columns, normal_apps, buggy_apps):
     for apps in buggy_apps:
         for family in scenario_families(apps):
             families[family] = families.get(family, 0) + 1
-    mitigations = tuple(columns)
     vanilla = columns["vanilla"]
-    paired = mitigations[mitigations.index("vanilla") + 1:]
-    for mitigation in mitigations:
+    for mitigation, data in columns.items():
         sink = stats[mitigation]
-        data = columns[mitigation]
         for name in ("battery_life_h", "system_power_mw",
                      "buggy_power_mw", "disruptions"):
             sink.observe_many(name, data[name])
-        if mitigation in paired:
+        if mitigation != "vanilla":
             waste, delta = _paired_columns(data, vanilla)
             sink.observe_many("waste_reduction_pct", waste)
             sink.observe_many("battery_delta_h", delta)

@@ -41,6 +41,19 @@ def test_fleet_cli_end_to_end(tmp_path):
     assert set(report["mitigations"]) == {"vanilla", "leaseos"}
 
 
+def test_fleet_cli_mitigation_order_and_repeats_do_not_matter(tmp_path):
+    reports = []
+    for name, mitigations in [("default", "vanilla,leaseos"),
+                              ("reversed", "leaseos,vanilla"),
+                              ("repeated", "vanilla,leaseos,leaseos")]:
+        code, __ = _run_cli(_fleet_argv(
+            tmp_path / name, ["--mitigations", mitigations]))
+        assert code == 0
+        reports.append((tmp_path / name / "fleet.json").read_bytes())
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+
+
 def test_fleet_cli_max_shards_then_resume(tmp_path):
     code, text = _run_cli(_fleet_argv(tmp_path, ["--max-shards", "1"]))
     assert code == 0
