@@ -17,8 +17,9 @@ simulations. This module makes that structure first-class:
   completion order;
 - completed jobs are memoised in a content-addressed on-disk cache
   (JSON files under ``results/.cache/`` by default) keyed by a stable
-  hash of the spec plus a code-version salt, so re-running a sweep after
-  an unrelated edit is near-instant.
+  hash of the spec plus the package's source digest
+  (:func:`repro.version.code_digest`), so re-running an unchanged sweep
+  is near-instant and a result simulated by other code is never served.
 
 Only the *scalar* fields of a case run cross process boundaries (see
 :class:`JobResult`); app and phone objects stay worker-local. Callers
@@ -35,16 +36,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 
 from repro.io import atomic_write, canonical_json
-from repro.version import __version__ as PACKAGE_VERSION
-
-#: Bump when simulation semantics change in a way that invalidates cached
-#: results. Unrelated edits leave it alone, which is what makes a warm
-#: cache survive ordinary development. The package version
-#: (``repro.version.__version__``) is hashed alongside, so a release
-#: bump also invalidates every cached entry cleanly -- stale results
-#: from before a code change are never served. ``REPRO_CACHE_SALT``
-#: adds an operator-controlled component on top.
-CODE_VERSION = "1"
+from repro.version import code_digest
 
 #: Default on-disk cache location (relative to the working directory,
 #: overridable with ``REPRO_CACHE_DIR``).
@@ -308,19 +300,17 @@ class FuncSpec:
 class ResultCache:
     """Content-addressed JSON store for completed grid jobs."""
 
-    def __init__(self, directory=None, salt=None):
+    def __init__(self, directory=None):
         if directory is None:
             directory = os.environ.get("REPRO_CACHE_DIR",
                                        DEFAULT_CACHE_DIR)
-        if salt is None:
-            salt = os.environ.get("REPRO_CACHE_SALT", "")
         self.directory = directory
-        self.salt = salt
 
     def key_for(self, spec):
+        """The spec's entry name: its token hashed with the code digest,
+        so an edit to any package source misses every entry before it."""
         token = canonical_json(
-            {"v": CODE_VERSION, "pkg": PACKAGE_VERSION, "salt": self.salt,
-             "spec": spec.cache_token()})
+            {"code": code_digest(), "spec": spec.cache_token()})
         return hashlib.sha256(token.encode("utf-8")).hexdigest()[:32]
 
     def _path(self, key):
@@ -431,14 +421,14 @@ class GridRunner:
     :class:`~repro.resilience.errors.JobQuarantined`.
     """
 
-    def __init__(self, jobs=None, cache=None, salt=None, supervisor=None):
+    def __init__(self, jobs=None, cache=None, supervisor=None):
         self.jobs = _default_jobs() if jobs is None else max(1, int(jobs))
         if os.environ.get("REPRO_CACHE", "1") == "0":
             cache = None
         if cache is True:
-            cache = ResultCache(salt=salt)
+            cache = ResultCache()
         elif isinstance(cache, str):
-            cache = ResultCache(cache, salt=salt)
+            cache = ResultCache(cache)
         elif cache is False:
             cache = None
         self.cache = cache

@@ -95,10 +95,9 @@ import sys
 from repro.fleet.population import DeviceSpec, PopulationSpec
 from repro.io import canonical_json
 
-#: Bump when the canonical day, the probe set, or the composition model
-#: changes: it salts every probe's cache key and the table fingerprint,
-#: so stale probe results and checkpoints are never served across a
-#: model change.
+#: The table JSON's format field, hashed into its fingerprint. Code
+#: identity is not its job: every cached probe and checkpoint already
+#: carries :func:`repro.version.code_digest`.
 PROBE_SCHEMA = 1
 
 #: The canonical representative day every probe runs. Values sit at the
@@ -283,15 +282,14 @@ def case_env_json(buggy_apps):
 
 
 def probe_day(kind, name, profile, mitigation, minutes, variant,
-              env_json="{}", schema=PROBE_SCHEMA):
+              env_json="{}"):
     """Run one table probe through the kernel; returns entry scalars.
 
     Module-level with scalar kwargs so probes dispatch as
     :class:`~repro.experiments.grid.FuncSpec` jobs -- parallel through
     the grid pool and memoised in the content-addressed cache.
     ``env_json`` is the probed device class's merged case environment,
-    applied as the final phone overrides; ``schema`` only salts the
-    cache key.
+    applied as the final phone overrides.
     """
     from repro.fleet.shard import build_device_phone, user_day
     from repro.sim.summary import day_summary
@@ -494,12 +492,11 @@ def needed_probes(population):
 def probe_set(population, cache):
     """:func:`needed_probes`, memoised in a grid ``ResultCache``.
 
-    Keyed on the population fingerprint, :data:`PROBE_SCHEMA` and
-    :data:`PROBE_SCAN_CAP` (plus the cache's own code-version, package
-    and salt components), so a warm re-run samples no device for its
-    probe set. A miss -- or a corrupt entry, which ``ResultCache.load``
-    discards -- scans in this process: no grid job, no fork.
-    ``cache=None`` scans every time.
+    Keyed on the population fingerprint (and, like every cache key, the
+    code digest, which covers the scan and its cap), so a warm re-run
+    samples no device for its probe set. A miss -- or a corrupt entry,
+    which ``ResultCache.load`` discards -- scans in this process: no
+    grid job, no fork. ``cache=None`` scans every time.
     """
     from repro.experiments.grid import FuncSpec
 
@@ -508,8 +505,7 @@ def probe_set(population, cache):
     # A cache key, never executed: named by path so a wrapped or
     # patched needed_probes keys the same entry.
     spec = FuncSpec.make("repro.fleet.fastpath:needed_probes",
-                         population=population.fingerprint(),
-                         schema=PROBE_SCHEMA, scan_cap=PROBE_SCAN_CAP)
+                         population=population.fingerprint())
     probes = cache.load(spec)
     if probes is None:
         probes = needed_probes(population)
@@ -535,7 +531,7 @@ def build_table(population, runner=None, verbose=False):
     specs = [FuncSpec.make(probe_day, kind=kind, name=name,
                            profile=profile, mitigation=mitigation,
                            minutes=population.minutes, variant=variant,
-                           env_json=env_json, schema=PROBE_SCHEMA)
+                           env_json=env_json)
              for kind, name, profile, mitigation, variant, env_json
              in probes]
     labels = ["probe:{}".format(TransitionTable.entry_key(*probe))

@@ -18,9 +18,10 @@ run's warn-once stderr lines.
 
 :class:`FleetRunner` drives the shards in index order, writes one
 checkpoint file per completed shard (tagged with the population
-fingerprint and package version), and on a re-run skips every shard
-whose checkpoint is already on disk -- so a killed fleet run resumes
-where it stopped and still produces a byte-identical report.
+fingerprint and the code digest, :func:`repro.version.code_digest`),
+and on a re-run skips every shard whose checkpoint is already on disk
+-- so a killed fleet run resumes where it stopped and still produces a
+byte-identical report, and a shard simulated by other code is re-run.
 """
 
 import json
@@ -32,9 +33,10 @@ from repro.experiments.grid import FuncSpec, GridRunner
 from repro.fleet.population import PopulationSpec, normal_app_factory
 from repro.fleet.stats import FleetStats
 from repro.io import atomic_write
-from repro.version import __version__
+from repro.version import code_digest
 
-#: Checkpoint schema version; bump on incompatible checkpoint changes.
+#: The shard summary's format field. Code identity is not its job: a
+#: checkpoint carries :func:`repro.version.code_digest` beside it.
 CHECKPOINT_SCHEMA = 1
 
 #: Default root for per-population checkpoint directories.
@@ -341,8 +343,7 @@ def run_shard(population_json, start, stop, mode="kernel", table=""):
     fingerprint. The extra kwargs also mean table-replayed shard
     results can never collide with kernel ones in the grid's
     content-addressed cache, nor with another table's: a kernel
-    dispatch omits them entirely, so its cache keys are byte-identical
-    to what they always were.
+    dispatch omits them entirely.
     """
     if mode not in ("kernel", "vector"):
         raise ValueError("unknown shard mode {!r}".format(mode))
@@ -418,9 +419,9 @@ class FleetRunner:
     ``results/.fleet/<fingerprint12>/`` (suffixed ``-vector`` on the
     vector engine, so the two execution modes never share checkpoint
     files), so re-running the same spec resumes automatically and
-    different specs never collide. Checkpoint files from another population, package
-    version, checkpoint schema, execution mode or transition table are
-    ignored (and reported), never served.
+    different specs never collide. Checkpoint files from another
+    population, code digest, checkpoint schema, execution mode or
+    transition table are ignored (and reported), never served.
 
     ``mode`` selects the device-day executor: ``"kernel"`` (the full
     event loop), ``"vector"`` (whole-shard replay from the
@@ -465,7 +466,7 @@ class FleetRunner:
         self.shards_run = 0
         self.shards_resumed = 0
         #: Shard indices whose on-disk checkpoint was rejected (stale
-        #: version/schema/population). A set, not a counter: the same
+        #: code/schema/population). A set, not a counter: the same
         #: stale file is probed by pending_shards() *and* merged_stats()
         #: and must count once, not once per probe.
         self.rejected_shards = set()
@@ -509,7 +510,7 @@ class FleetRunner:
             return None
         summary = payload.get("summary")
         start, stop = self.population.shard_range(shard_index)
-        if (payload.get("version") != __version__
+        if (payload.get("version") != code_digest()
                 or not isinstance(summary, dict)
                 or summary.get("schema") != CHECKPOINT_SCHEMA
                 or summary.get("population")
@@ -527,9 +528,10 @@ class FleetRunner:
 
     def _write_checkpoint(self, shard_index, summary):
         """Publish one shard's checkpoint atomically. A failed write
-        raises: no shard may count as done without its file."""
+        raises: no shard may count as done without its file. Its
+        ``"version"`` is the code digest that computed it."""
         os.makedirs(self.checkpoint_dir, exist_ok=True)
-        payload = {"version": __version__, "summary": summary}
+        payload = {"version": code_digest(), "summary": summary}
         # Not canonical_json: checkpoint files keep the exact bytes
         # earlier versions wrote.
         atomic_write(self._checkpoint_path(shard_index),

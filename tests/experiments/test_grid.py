@@ -110,40 +110,40 @@ def test_warm_cache_runs_zero_fresh_simulations(tmp_path):
     assert warm.stats.cache_hits == expected
 
 
-def test_cache_key_changes_with_spec_and_salt(tmp_path):
-    cache = ResultCache(str(tmp_path), salt="")
-    salted = ResultCache(str(tmp_path), salt="other")
+def test_cache_key_changes_with_spec(tmp_path):
+    cache = ResultCache(str(tmp_path))
     a = JobSpec.make("torch", minutes=2.0)
     b = JobSpec.make("torch", minutes=3.0)
     assert cache.key_for(a) != cache.key_for(b)
-    assert cache.key_for(a) != salted.key_for(a)
 
 
 def test_cache_key_changes_with_package_version(tmp_path, monkeypatch):
     # A version bump must invalidate every cached entry: results
     # simulated by older code are never served to newer code (fleet
-    # shards resumed across an upgrade depend on this).
+    # shards resumed across an upgrade depend on this). The bump edits
+    # repro/version.py, which moves the code digest every key hashes
+    # (tests/test_code_digest.py edits a copied tree for real).
     from repro.experiments import grid as grid_module
 
     cache = ResultCache(str(tmp_path))
     spec = JobSpec.make("torch", minutes=2.0)
     before = cache.key_for(spec)
-    monkeypatch.setattr(grid_module, "PACKAGE_VERSION", "0.0.0-test")
+    monkeypatch.setattr(grid_module, "code_digest", lambda: "0" * 64)
     assert cache.key_for(spec) != before
 
 
 def test_cache_key_pins_current_package_version(tmp_path):
+    # The key formula, rebuilt by hand: the current code digest (which
+    # covers repro/version.py) and the spec token, nothing else.
     import hashlib
     import json
 
-    from repro import __version__
-    from repro.experiments.grid import CODE_VERSION
+    from repro.version import code_digest
 
     cache = ResultCache(str(tmp_path))
     spec = JobSpec.make("torch", minutes=2.0)
     token = json.dumps(
-        {"v": CODE_VERSION, "pkg": __version__, "salt": "",
-         "spec": spec.cache_token()},
+        {"code": code_digest(), "spec": spec.cache_token()},
         sort_keys=True, separators=(",", ":"))
     expected = hashlib.sha256(token.encode()).hexdigest()[:32]
     assert cache.key_for(spec) == expected

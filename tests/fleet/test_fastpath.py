@@ -252,12 +252,10 @@ def test_fast_and_kernel_shards_never_share_cache_keys(table):
                               population_json=population_json,
                               start=0, stop=2, mode="vector",
                               table=table.fingerprint())
-    # The kernel dispatch omits the table kwargs entirely, so its cache
-    # keys are byte-identical to what they were before table replay
-    # existed.
+    # The kernel dispatch omits the table kwargs entirely.
     assert dict(kernel_spec.kwargs).keys() == \
         {"population_json", "start", "stop"}
-    cache = ResultCache(directory="unused-for-key-derivation", salt="")
+    cache = ResultCache(directory="unused-for-key-derivation")
     assert cache.key_for(kernel_spec) != cache.key_for(fast_spec)
     # A different table means different replay keys too.
     other = TransitionTable.from_json(table.to_json())

@@ -173,28 +173,25 @@ def test_warm_build_reads_the_probe_set_from_the_cache(tmp_path,
     assert len(cold.entries) == 54
 
 
-def test_probe_set_misses_on_seed_schema_scan_cap_and_salt(tmp_path,
-                                                           monkeypatch,
-                                                           scans):
-    cache = ResultCache(str(tmp_path / "cache"), salt="")
+def test_probe_set_misses_on_seed_and_code_digest(tmp_path, monkeypatch,
+                                                  scans):
+    from repro.experiments import grid
+
+    cache = ResultCache(str(tmp_path / "cache"))
     probes = probe_set(SMALL, cache)
     assert probe_set(SMALL, cache) == probes
     assert len(scans) == 1
     probe_set(dataclasses.replace(SMALL, seed=32), cache)
     assert len(scans) == 2
+    # Other code (an edited scan or cap among it) never reads this
+    # code's probe set.
     with monkeypatch.context() as patch:
-        patch.setattr(fastpath, "PROBE_SCHEMA", fastpath.PROBE_SCHEMA + 1)
+        patch.setattr(grid, "code_digest", lambda: "0" * 64)
         probe_set(SMALL, cache)
     assert len(scans) == 3
-    with monkeypatch.context() as patch:
-        patch.setattr(fastpath, "PROBE_SCAN_CAP", 1)
-        probe_set(SMALL, cache)
-    assert len(scans) == 4
-    probe_set(SMALL, ResultCache(str(tmp_path / "cache"), salt="other"))
-    assert len(scans) == 5
     # Every variant was stored beside the first; none replaced it.
     assert probe_set(SMALL, cache) == probes
-    assert len(scans) == 5
+    assert len(scans) == 3
 
 
 def test_uncached_build_scans_every_time_and_writes_nothing(tmp_path,

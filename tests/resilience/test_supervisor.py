@@ -467,7 +467,7 @@ def test_a_failed_attempt_retires_its_worker(kind):
 
 
 def _probe_specs(count):
-    from repro.fleet.fastpath import PROBE_SCHEMA, needed_probes, probe_day
+    from repro.fleet.fastpath import needed_probes, probe_day
     from repro.fleet.population import PopulationSpec
 
     population = PopulationSpec(seed=3, devices=12, minutes=2.0,
@@ -475,7 +475,7 @@ def _probe_specs(count):
     return [FuncSpec.make(probe_day, kind=kind, name=name,
                           profile=profile, mitigation=mitigation,
                           minutes=population.minutes, variant=variant,
-                          env_json=env_json, schema=PROBE_SCHEMA)
+                          env_json=env_json)
             for kind, name, profile, mitigation, variant, env_json
             in needed_probes(population)[:count]]
 
