@@ -47,10 +47,13 @@ class AlarmManager:
         #: :meth:`deliver_now`).
         self.policy = None
         self.fired_count = 0
+        #: uid -> set of its live alarms. A one-shot leaves on delivery,
+        #: a cancelled alarm at its next firing: the record stays bounded.
+        self._live = {}
 
     def set(self, uid, delay, callback, wakeup=True):
         """One-shot alarm after ``delay`` seconds. Returns the Alarm."""
-        alarm = Alarm(uid, callback, wakeup)
+        alarm = self._track(Alarm(uid, callback, wakeup))
         self.sim.schedule(delay, lambda: self._fire(alarm))
         return alarm
 
@@ -58,12 +61,31 @@ class AlarmManager:
         """Repeating alarm every ``interval`` seconds. Returns the Alarm."""
         if interval <= 0:
             raise ValueError("alarm interval must be positive")
-        alarm = Alarm(uid, callback, wakeup, interval=interval)
+        alarm = self._track(Alarm(uid, callback, wakeup, interval=interval))
         self.sim.schedule(interval, lambda: self._fire(alarm))
         return alarm
 
+    def kill_app(self, uid):
+        """App death: cancel the app's alarms, so neither their next
+        firing nor a delivery a policy queued (Doze) runs its code. A
+        restart's ``on_start`` sets fresh alarms."""
+        for alarm in self._live.pop(uid, ()):
+            alarm.cancel()
+
+    def _track(self, alarm):
+        self._live.setdefault(alarm.uid, set()).add(alarm)
+        return alarm
+
+    def _forget(self, alarm):
+        live = self._live.get(alarm.uid)
+        if live is not None:
+            live.discard(alarm)
+            if not live:
+                del self._live[alarm.uid]
+
     def _fire(self, alarm):
         if alarm.cancelled:
+            self._forget(alarm)
             return
         if alarm.interval is not None:
             # Re-arm first so a policy deferral cannot kill the series.
@@ -74,6 +96,8 @@ class AlarmManager:
 
     def deliver_now(self, alarm):
         """Deliver an alarm immediately (also used by Doze maintenance)."""
+        if alarm.interval is None:
+            self._forget(alarm)  # a one-shot is done, delivered or not
         if alarm.cancelled:
             return
         self.fired_count += 1

@@ -150,12 +150,14 @@ class Phone:
 
     def kill_app(self, uid):
         """Terminate an app; services clean its kernel objects (§4.3),
-        the scheduler cancels its jobs."""
+        the scheduler cancels its jobs and the alarm manager its
+        alarms."""
         app = self.apps[uid]
         app.stop()
         for service in self.kernel_services:
             service.kill_app(uid)
         self.jobs.kill_app(uid)
+        self.alarms.kill_app(uid)
         self.broadcasts.unregister_app(uid)
 
     def restart_app(self, uid):

@@ -35,6 +35,24 @@ def test_fixed_k9_syncs_normally_when_healthy():
     assert app.synced >= 15
 
 
+def test_killed_k9_runs_no_code_until_restarted():
+    # Its repeating sync alarm dies with it: before, the next firing
+    # acquired the wakelock kill_app had cleaned and raised.
+    from repro.droid.phone import Phone
+    from repro.fleet.population import normal_app_factory
+
+    phone = Phone(seed=1234, ambient=False)
+    app = phone.install(normal_app_factory("k9-fixed"))
+    phone.run_for(seconds=60.0)
+    phone.kill_app(app.uid)
+    synced = app.synced
+    phone.run_for(seconds=300.0)
+    assert app.synced == synced
+    phone.restart_app(app.uid)
+    phone.run_for(seconds=120.0)
+    assert app.synced > synced
+
+
 def test_leaseos_approximates_the_developer_fix():
     """The paper's implicit claim: running the *buggy* K-9 under LeaseOS
     lands in the same power regime as running the *fixed* K-9 on

@@ -159,6 +159,42 @@ def test_repeating_alarm_survives_policy_deferral(phone):
     assert swallowed == [5.0, 10.0, 15.0]
 
 
+def test_kill_app_cancels_its_alarms_and_their_queued_deliveries(phone):
+    fired = []
+    queued = []
+
+    class Policy:
+        def intercept_alarm(self, alarm):
+            if alarm.interval is None:
+                queued.append(alarm)  # delivered later, as Doze does
+                return True
+            return False
+
+    phone.alarms.policy = Policy()
+    phone.alarms.set(1, 5.0, lambda: fired.append("queued"))
+    phone.alarms.set(1, 30.0, lambda: fired.append("pending"))
+    phone.alarms.set_repeating(1, 5.0, lambda: fired.append("repeating"))
+    phone.alarms.set_repeating(2, 5.0, lambda: fired.append("other app"))
+    phone.run_for(seconds=6.0)
+    assert fired == ["repeating", "other app"]
+    assert len(queued) == 1
+    phone.alarms.kill_app(1)
+    phone.alarms.deliver_now(queued[0])
+    phone.run_for(seconds=30.0)
+    assert set(fired[2:]) == {"other app"}
+    assert len(queued) == 1
+
+
+def test_the_alarm_record_forgets_fired_and_cancelled_alarms(phone):
+    phone.alarms.set(1, 5.0, lambda: None)
+    repeating = phone.alarms.set_repeating(1, 5.0, lambda: None)
+    phone.run_for(seconds=6.0)
+    assert phone.alarms._live == {1: {repeating}}
+    repeating.cancel()
+    phone.run_for(seconds=5.0)
+    assert phone.alarms._live == {}
+
+
 # -- ipc + exceptions --------------------------------------------------------
 
 def test_ipc_records_calls_and_latency(phone):
