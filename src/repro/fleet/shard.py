@@ -13,8 +13,8 @@ return value is O(1) in the number of devices it simulated.
 event kernel: every row of a kernel shard, and every row the
 table-replay engine (:mod:`repro.fleet.vector`) hands back as a
 fallback. It records each day the same way in both: fold columns,
-capped crash records, scenario families, shard telemetry, and the
-run's warn-once stderr lines.
+capped crash records, invariant violations, scenario families, shard
+telemetry, and the run's warn-once stderr lines.
 
 :class:`FleetRunner` drives the shards in index order, writes one
 checkpoint file per completed shard (tagged with the population
@@ -66,7 +66,10 @@ def _warn_once(kind, reason, message):
 def build_device_phone(device, mitigation, extra_overrides=None):
     """Materialise a DeviceSpec as a live phone, apps installed.
 
-    Returns ``(phone, buggy_uids, interactive_uids, injector)``. Shared
+    Returns ``(phone, buggy_uids, interactive_uids, injector)``; a
+    fault-armed device's injector carries an
+    :class:`~repro.faults.invariants.InvariantChecker` as its
+    ``checker``, as the chaos sweep's do. Shared
     by the kernel path below and the transition table's probes
     (:mod:`repro.fleet.fastpath`), so a probe day exercises the *exact*
     construction a real device-day does. ``extra_overrides`` are final
@@ -116,11 +119,13 @@ def build_device_phone(device, mitigation, extra_overrides=None):
     injector = None
     if device.fault_plan_json:
         from repro.faults.injector import FaultInjector
+        from repro.faults.invariants import InvariantChecker
         from repro.faults.plan import FaultPlan
 
         injector = FaultInjector(
             phone, FaultPlan.from_json(device.fault_plan_json),
             seed=device.sub_seed % (2 ** 31),
+            checker=InvariantChecker(phone, interval_s=30.0),
             target_uid=buggy_uids[0] if buggy_uids else None)
         injector.arm()
     return phone, buggy_uids, interactive_uids, injector
@@ -142,13 +147,18 @@ def simulate_device_day(device, mitigation, minutes):
     """Run one sampled device-day under one mitigation.
 
     Returns a flat dict of scalars -- the *only* thing that survives
-    the simulation. The Phone, its apps and the event heap are garbage
-    the moment this returns, which is what keeps shard memory flat.
+    the simulation. A fault-armed device's checker adds one
+    ``invariant:<name>`` count per violated invariant: names and
+    counts only, since a violation's detail names uids drawn from
+    process-global counters. The Phone, its apps and the event heap
+    are garbage the moment this returns, which is what keeps shard
+    memory flat.
     """
     from repro.sim.summary import day_summary
 
     phone, buggy_uids, interactive_uids, injector = \
         build_device_phone(device, mitigation)
+    checker = injector.checker if injector is not None else None
     phone.sim.spawn(user_day(phone, device,
                              interactive_uids or buggy_uids),
                     name="fleet.user")
@@ -165,6 +175,11 @@ def simulate_device_day(device, mitigation, minutes):
                    "(logged once per distinct reason; every occurrence "
                    "is in the shard's crash records)".format(
                        device.index, mitigation, crash_error))
+    finally:
+        # The checker's lease-transition hook is process-global: a
+        # crashed day must not leak it into the shard's next day.
+        if checker is not None:
+            checker.detach()
 
     summary = day_summary(phone, mark, buggy_uids=buggy_uids,
                           interactive_uids=interactive_uids)
@@ -175,6 +190,11 @@ def simulate_device_day(device, mitigation, minutes):
         "crash_error": crash_error,
         "faults_applied": injector.applied_count if injector else 0,
     })
+    if checker is not None:
+        checker.check_now()  # the day's end, between periodic checks
+        for violation in checker.violations:
+            key = "invariant:" + violation.invariant
+            summary[key] = summary.get(key, 0) + 1
     return summary
 
 
@@ -197,10 +217,13 @@ def simulate_rows(population, columns, fallback, data, telemetry):
     ShardTelemetry`, or None) observes each day, attributes the
     device's scenario families and marks the device done. A fallback
     row is also counted there, and warned about on stderr once per
-    reason per run. Returns the first :data:`MAX_CRASH_RECORDS`
-    crashed days as ``{"device", "mitigation", "error"}`` records.
+    reason per run. Returns ``(crashes, invariants)``: the first
+    :data:`MAX_CRASH_RECORDS` crashed days as ``{"device",
+    "mitigation", "error"}`` records, and per mitigation the days'
+    summed ``invariant:<name>`` counts.
     """
     crashes = []
+    invariants = {mitigation: {} for mitigation in population.mitigations}
     for row in sorted(fallback):
         reason = fallback[row]
         if reason is not None:
@@ -225,13 +248,17 @@ def simulate_rows(population, columns, fallback, data, telemetry):
                 crashes.append({"device": device.index,
                                 "mitigation": mitigation,
                                 "error": summary["crash_error"]})
+            found = invariants[mitigation]
+            for key, count in summary.items():
+                if key.startswith("invariant:"):
+                    found[key] = found.get(key, 0) + count
             if telemetry is not None:
                 telemetry.observe(summary)
                 if families:
                     telemetry.observe_families(families)
         if telemetry is not None:
             telemetry.device_done()
-    return crashes
+    return crashes, invariants
 
 
 class _SequentialStats(FleetStats):
@@ -275,20 +302,24 @@ def _paired_columns(columns, vanilla):
                    for value, paired in zip(life, base_life)]
 
 
-def fold_shard(stats, columns, normal_apps, buggy_apps):
+def fold_shard(stats, columns, normal_apps, buggy_apps, invariants=None):
     """Fold one shard's device-days into per-mitigation ``stats``.
 
     ``columns[mitigation][name]`` holds one value per device, in
     device-index order, for every :data:`FOLD_COLUMNS` name (lists, or
     numpy arrays from the vector engine); mitigations iterate in
     population order. ``normal_apps``/``buggy_apps`` are the devices'
-    installed app tuples. This is the whole fold policy, shared by
+    installed app tuples. ``invariants`` maps a mitigation to the
+    ``invariant:<name>`` counts its kernel days reported
+    (:func:`simulate_rows`), folded as counters: absent when zero,
+    like ``scenario:<family>``. This is the whole fold policy, shared by
     every executor: ``waste_reduction_pct`` and ``battery_delta_h``
     are observed for every mitigation but vanilla, ``deferrals``
     only under leaseos, and every metric reaches its sink in one
     ``observe_many`` call per shard -- a :class:`FleetStats` batch-
     merges it, a :class:`_SequentialStats` observes value by value.
     """
+    invariants = invariants or {}
     devices = len(buggy_apps)
     normal_total = sum(len(apps) for apps in normal_apps)
     buggy_total = sum(len(apps) for apps in buggy_apps)
@@ -319,6 +350,8 @@ def fold_shard(stats, columns, normal_apps, buggy_apps):
         sink.count("buggy_devices", buggy_devices)
         for family, count in sorted(families.items()):
             sink.count("scenario:" + family, count)
+        for name, count in sorted(invariants.get(mitigation, {}).items()):
+            sink.count(name, count)
 
 
 # -- the shard job ------------------------------------------------------------
@@ -401,12 +434,12 @@ def _kernel_shard(population, start, stop, telem):
     rows = len(columns)
     data = {mitigation: {name: [None] * rows for name in FOLD_COLUMNS}
             for mitigation in population.mitigations}
-    crashes = simulate_rows(population, columns, dict.fromkeys(range(rows)),
-                            data, telem)
+    crashes, invariants = simulate_rows(
+        population, columns, dict.fromkeys(range(rows)), data, telem)
     per_mitigation = {name: _SequentialStats()
                       for name in population.mitigations}
     fold_shard(per_mitigation, data, columns.normal_apps,
-               columns.buggy_apps)
+               columns.buggy_apps, invariants)
     return per_mitigation, crashes
 
 

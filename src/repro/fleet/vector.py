@@ -847,7 +847,8 @@ def replay_shard_vector(population, start, stop, table, telemetry=None):
     Rows the table cannot compose run on the kernel through
     :func:`repro.fleet.shard.simulate_rows`, the kernel shard's own
     loop, which overwrites their zero-filled columns and returns the
-    crash records (composed rows never crash). The shard folds through
+    crash records and invariant violations (composed rows have
+    neither). The shard folds through
     :func:`repro.fleet.shard.fold_shard`, the kernel path's fold, one
     batch per metric, plus three engine counters per mitigation:
     ``fastpath_devices`` (every device), ``fastpath_fallbacks``
@@ -862,13 +863,14 @@ def replay_shard_vector(population, start, stop, table, telemetry=None):
     columns = population.sample_columns(start, stop)
     classes = _ShardClasses(table, mitigations)
     comp = compose_shard(population, columns, classes, np=np)
-    crashes = simulate_rows(population, columns, comp.fallback, comp.data,
-                            telemetry)
+    crashes, invariants = simulate_rows(population, columns, comp.fallback,
+                                        comp.data, telemetry)
 
     n_fallback = len(comp.fallback)
     n_vector = len(comp.vector_rows)
     stats = {m: FleetStats() for m in mitigations}
-    fold_shard(stats, comp.data, columns.normal_apps, columns.buggy_apps)
+    fold_shard(stats, comp.data, columns.normal_apps, columns.buggy_apps,
+               invariants)
     for m in mitigations:
         fold = stats[m]
         fold.count("fastpath_devices", comp.n)

@@ -62,6 +62,49 @@ def test_run_shard_summary_shape_is_device_count_independent():
     assert large["stats"]["vanilla"]["counters"]["devices"] == 3
 
 
+def test_a_chaos_shard_counts_violated_invariants(monkeypatch):
+    # Device 160: a fault kills WHERE at 299.9 s. With alarms made to
+    # outlive their app again, its repeating alarm registers GPS for
+    # the dead uid 0.1 s later, and the device's checker sees it.
+    from repro.droid.alarms import AlarmManager
+
+    monkeypatch.setattr(AlarmManager, "kill_app", lambda self, uid: None,
+                        raising=False)
+    population = PopulationSpec(seed=2019, devices=161, shard_size=1,
+                                minutes=15.0, chaos_rate=0.5)
+    summary = run_shard(population.to_json(), 160, 161)
+    for name in population.mitigations:
+        counters = summary["stats"][name]["counters"]
+        assert counters["invariant:wakelock_after_death"] == 1
+
+
+def test_a_crashed_chaos_day_leaves_no_lease_hook_behind(monkeypatch):
+    # Device 847's killed K-9 crashes the day once its alarm outlives
+    # it; the checker's process-global hook must not outlive the day.
+    from repro.core import lease
+    from repro.droid.alarms import AlarmManager
+
+    monkeypatch.setattr(AlarmManager, "kill_app", lambda self, uid: None)
+    population = PopulationSpec(seed=2019, devices=848, minutes=15.0,
+                                chaos_rate=0.5)
+    hooks = list(lease._TRANSITION_HOOKS)
+    summary = simulate_device_day(population.device(847), "leaseos", 15.0)
+    assert summary["crashed"] == 1
+    assert lease._TRANSITION_HOOKS == hooks
+
+
+def test_a_shard_without_chaos_keeps_its_summary_bytes():
+    import hashlib
+
+    summary = run_shard(POP.to_json(), 0, 3)
+    assert not [name for block in summary["stats"].values()
+                for name in block["counters"]
+                if name.startswith("invariant:")]
+    assert hashlib.sha256(json.dumps(summary, sort_keys=True).encode()) \
+        .hexdigest() == \
+        "0a24532e7fe73782a57b99698d455819648e5029fd1cac7c5cc79759173f7ad9"
+
+
 def test_fleet_run_completes_and_counts_devices(full_run):
     __, merged, __ = full_run
     for name in POP.mitigations:
