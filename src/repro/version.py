@@ -1,6 +1,7 @@
 """The package version, and the code digest every stored result carries.
 
-``__version__`` names a release in reports; it identifies no code.
+``__version__`` is the one package version (``pyproject.toml`` reads
+it from here). It names a release in reports; it identifies no code.
 :func:`code_digest` does: every grid cache key hashes it and every
 fleet checkpoint carries it, so editing any package source misses
 every cached result and rejects every checkpoint written before.
