@@ -66,9 +66,8 @@ def _append(path, text):
 
 
 def _python(src, args, cwd):
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    env.pop("REPRO_CACHE_DIR", None)
-    return subprocess.run([sys.executable, *args], cwd=str(cwd), env=env,
+    return subprocess.run([sys.executable, *args], cwd=str(cwd),
+                          env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
 
 
