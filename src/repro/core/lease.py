@@ -11,7 +11,6 @@ States:
 """
 
 import enum
-import itertools
 
 from collections import deque
 
@@ -38,42 +37,23 @@ class LeaseTransitionError(Exception):
     """An illegal lease state transition was attempted."""
 
 
-#: Observers called as ``hook(lease, old_state, new_state)`` after every
-#: transition that goes through :meth:`Lease.transition`. The invariant
-#: checker (:mod:`repro.faults.invariants`) uses this to shadow the state
-#: machine and detect both illegal transitions and direct ``state``
-#: mutations that bypass ``transition()`` entirely. Empty list == zero
-#: cost beyond one truthiness check per transition.
-_TRANSITION_HOOKS = []
-
-
-def add_transition_hook(hook):
-    """Register a ``hook(lease, old_state, new_state)`` observer."""
-    _TRANSITION_HOOKS.append(hook)
-    return hook
-
-
-def remove_transition_hook(hook):
-    """Unregister a previously added transition observer."""
-    try:
-        _TRANSITION_HOOKS.remove(hook)
-    except ValueError:
-        pass
-
-
 class Lease:
     """One lease: a timed capability over one kernel resource instance.
 
     Created by the lease manager when an app first touches the kernel
-    object (§3.1); identified by a unique lease descriptor. Keeps a
-    bounded history of per-term records for the decision policy.
+    object (§3.1); identified by a lease descriptor unique on its device
+    (the manager draws it from ``next(sim.ids)``). Keeps a bounded
+    history of per-term records for the decision policy.
+
+    ``observers`` is the creating manager's
+    :attr:`~repro.core.manager.LeaseManager.transition_observers` list,
+    called as ``observer(lease, old_state, new_state)`` after every
+    transition; empty, it costs one truthiness check per transition.
     """
 
-    _descriptors = itertools.count(1)
-
-    def __init__(self, uid, rtype, record, proxy, created_at,
-                 history_size=128):
-        self.descriptor = next(Lease._descriptors)
+    def __init__(self, descriptor, uid, rtype, record, proxy, created_at,
+                 history_size=128, observers=()):
+        self.descriptor = descriptor
         self.uid = uid
         self.rtype = rtype
         self.record = record  # the kernel object this lease backs
@@ -94,6 +74,7 @@ class Lease:
         self._deferral_timer = None
         self._stat_snapshot = {}
         self.custom_counter = None
+        self._observers = observers
 
     # -- state machine ----------------------------------------------------------
 
@@ -106,9 +87,9 @@ class Lease:
         old_state = self.state
         if new_state is LeaseState.DEAD:
             self.state = new_state
-            if _TRANSITION_HOOKS:
-                for hook in list(_TRANSITION_HOOKS):
-                    hook(self, old_state, new_state)
+            if self._observers:
+                for observer in list(self._observers):
+                    observer(self, old_state, new_state)
             return
         if (self.state, new_state) not in _ALLOWED:
             raise LeaseTransitionError(
@@ -117,9 +98,9 @@ class Lease:
                 )
             )
         self.state = new_state
-        if _TRANSITION_HOOKS:
-            for hook in list(_TRANSITION_HOOKS):
-                hook(self, old_state, new_state)
+        if self._observers:
+            for observer in list(self._observers):
+                observer(self, old_state, new_state)
 
     @property
     def active(self):

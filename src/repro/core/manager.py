@@ -50,6 +50,12 @@ class LeaseManager:
         self.proxies = []
         self.decisions = []
         self.listeners = []  # callback(decision)
+        #: Observers called as ``observer(lease, old_state, new_state)``
+        #: after every transition of a lease this manager created. The
+        #: invariant checker (:mod:`repro.faults.invariants`) shadows the
+        #: state machine through it, catching illegal transitions and
+        #: ``state`` mutations that bypass ``transition()``.
+        self.transition_observers = []
         self.op_counts = defaultdict(int)
         self.created_total = 0
         self._custom_counters = {}  # (uid, ResourceType) -> UtilityCounter
@@ -80,7 +86,8 @@ class LeaseManager:
         """Create a lease for a resource instance; returns the Lease."""
         self.op_counts["create"] += 1
         self.created_total += 1
-        lease = Lease(uid, rtype, record, proxy, self.sim.now)
+        lease = Lease(next(self.sim.ids), uid, rtype, record, proxy,
+                      self.sim.now, observers=self.transition_observers)
         self.leases[lease.descriptor] = lease
         self._start_term(lease, self.policy.initial_term_s)
         proxy.refresh_snapshot(lease)

@@ -7,16 +7,12 @@ Doze interposes on alarms through the ``policy`` hook to defer background
 wakeups to maintenance windows.
 """
 
-import itertools
-
 
 class Alarm:
-    _ids = itertools.count(1)
-
     __slots__ = ("id", "uid", "callback", "wakeup", "cancelled", "interval")
 
-    def __init__(self, uid, callback, wakeup, interval=None):
-        self.id = next(Alarm._ids)
+    def __init__(self, ident, uid, callback, wakeup, interval=None):
+        self.id = ident
         self.uid = uid
         self.callback = callback
         self.wakeup = wakeup
@@ -53,7 +49,7 @@ class AlarmManager:
 
     def set(self, uid, delay, callback, wakeup=True):
         """One-shot alarm after ``delay`` seconds. Returns the Alarm."""
-        alarm = self._track(Alarm(uid, callback, wakeup))
+        alarm = self._track(Alarm(next(self.sim.ids), uid, callback, wakeup))
         self.sim.schedule(delay, lambda: self._fire(alarm))
         return alarm
 
@@ -61,7 +57,8 @@ class AlarmManager:
         """Repeating alarm every ``interval`` seconds. Returns the Alarm."""
         if interval <= 0:
             raise ValueError("alarm interval must be positive")
-        alarm = self._track(Alarm(uid, callback, wakeup, interval=interval))
+        alarm = self._track(Alarm(next(self.sim.ids), uid, callback, wakeup,
+                                  interval=interval))
         self.sim.schedule(interval, lambda: self._fire(alarm))
         return alarm
 

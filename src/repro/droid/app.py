@@ -9,11 +9,7 @@ generic utility metrics consume: UI updates, user interactions and raised
 exceptions (Section 3.3).
 """
 
-import itertools
-
 from repro.sim.events import Timeout
-
-_UIDS = itertools.count(10000)
 
 
 class AppContext:
@@ -57,7 +53,7 @@ class App:
     foreground_service = False
 
     def __init__(self, name=None):
-        self.uid = next(_UIDS)
+        self.uid = None  # assigned by Phone.install
         self.name = name or self.app_name or type(self).__name__
         self.ctx = None
         self.rng = None

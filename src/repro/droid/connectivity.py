@@ -14,8 +14,6 @@ exception due to timeout might occur ... the app is already required to
 handle such exception").
 """
 
-import itertools
-
 from collections import defaultdict
 
 from repro.droid.exceptions import (
@@ -27,12 +25,10 @@ from repro.sim.events import Timeout
 
 
 class _Transfer:
-    _ids = itertools.count(1)
-
     __slots__ = ("id", "uid", "interrupted")
 
-    def __init__(self, uid):
-        self.id = next(_Transfer._ids)
+    def __init__(self, ident, uid):
+        self.id = ident
         self.uid = uid
         self.interrupted = False
 
@@ -72,7 +68,7 @@ class ConnectivityService:
         if self.restrictor is not None and not self.restrictor(app.uid):
             from repro.env.network import RequestOutcome
             outcome = RequestOutcome("no_network", 0.05)
-        transfer = _Transfer(app.uid)
+        transfer = _Transfer(next(self.sim.ids), app.uid)
         started = self.sim.now
         self._begin(transfer)
         try:

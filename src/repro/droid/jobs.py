@@ -9,17 +9,13 @@ alarms or jobs; jobs get constraint checking and Doze integration for
 free.
 """
 
-import itertools
-
 
 class JobInfo:
     """One scheduled job."""
 
-    _ids = itertools.count(1)
-
-    def __init__(self, app, interval_s, runner, requires_network=False,
-                 requires_charging=False):
-        self.id = next(JobInfo._ids)
+    def __init__(self, ident, app, interval_s, runner,
+                 requires_network=False, requires_charging=False):
+        self.id = ident
         self.app = app
         self.interval_s = interval_s
         self.runner = runner  # callable returning a generator (the work)
@@ -62,7 +58,7 @@ class JobScheduler:
                  requires_charging=False):
         """Schedule ``runner`` (a generator function) every ``interval_s``."""
         app.ipc("jobs", "schedule")
-        job = JobInfo(app, interval_s, runner,
+        job = JobInfo(next(self.sim.ids), app, interval_s, runner,
                       requires_network=requires_network,
                       requires_charging=requires_charging)
         # One scheduler-held wakelock per job, like the real service.

@@ -10,6 +10,7 @@ Construct a Phone, install apps, optionally install a mitigation
     print(phone.power_since(mark, uid=app.uid), "mW")
 """
 
+import itertools
 import random
 
 from repro.device.battery import Battery
@@ -108,6 +109,7 @@ class Phone:
             )
         )
         self.apps = {}
+        self._uids = itertools.count(10000)  # app uids, in install order
         self.foreground_uid = None
         self.lease_manager = None  # set by the LeaseOS mitigation
         self.user_activity_listeners = []  # callback() on touch/screen-on
@@ -134,9 +136,10 @@ class Phone:
     # -- app management -------------------------------------------------------
 
     def install(self, app, start=True, seed=None):
-        """Install (and by default start) an app."""
-        if app.uid in self.apps:
+        """Install (and by default start) an app; assigns its uid."""
+        if app.uid is not None:
             raise ValueError("app {!r} already installed".format(app.name))
+        app.uid = next(self._uids)
         app_seed = seed if seed is not None else self.rng.randrange(2 ** 31)
         app.install(AppContext(self), random.Random(app_seed))
         self.apps[app.uid] = app

@@ -2,7 +2,6 @@
 and the services that own them."""
 
 import enum
-import itertools
 
 
 class ResourceType(enum.Enum):
@@ -22,15 +21,14 @@ class IBinder:
 
     In Android the app-side wrapper holds an ``IBinder`` whose kernel-side
     twin lives in the owning system service; the pair is the 1:1 mapping
-    LeaseOS relies on (Section 4.2).
+    LeaseOS relies on (Section 4.2). Its id comes from the owning
+    device's simulator (``next(sim.ids)``).
     """
-
-    _ids = itertools.count(1)
 
     __slots__ = ("id",)
 
-    def __init__(self):
-        self.id = next(IBinder._ids)
+    def __init__(self, ident):
+        self.id = ident
 
     def __hash__(self):
         return hash(self.id)
@@ -57,7 +55,7 @@ class KernelObject:
         self.uid = uid
         self.rtype = rtype
         self.name = name
-        self.token = IBinder()
+        self.token = IBinder(next(sim.ids))
         self.app_held = False
         self.os_active = False
         self.dead = False

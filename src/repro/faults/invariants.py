@@ -18,14 +18,13 @@ what "wrong" means, independent of any policy under test:
   stay honoured.
 
 A checker is attached to one phone and samples periodically on the
-phone's own simulator (plus event-driven hooks where sampling could
-miss), so it is itself deterministic and costs nothing when everything
-holds.
+phone's own simulator (plus an observer on the phone's lease manager,
+where sampling could miss), so it is itself deterministic and costs
+nothing when everything holds.
 """
 
 from dataclasses import dataclass, field
 
-from repro.core import lease as lease_mod
 from repro.core.lease import LeaseState
 
 
@@ -80,17 +79,22 @@ class InvariantChecker:
         phone.monitor.settle()
         self._ledger_baseline_mj = phone.monitor.ledger.total_mj()
         self._battery_baseline_mj = phone.battery.remaining_mj
-        lease_mod.add_transition_hook(self._on_lease_transition)
-        self._hook_installed = True
+        #: The lease manager whose transitions this checker observes
+        #: (None on a phone without leases).
+        self._manager = phone.lease_manager
+        if self._manager is not None:
+            self._manager.transition_observers.append(
+                self._on_lease_transition)
         self._timer = self.sim.every(interval_s, self.check_now)
 
     # -- lifecycle ---------------------------------------------------------
 
     def detach(self):
         """Stop checking; safe to call more than once."""
-        if self._hook_installed:
-            lease_mod.remove_transition_hook(self._on_lease_transition)
-            self._hook_installed = False
+        if self._manager is not None:
+            self._manager.transition_observers.remove(
+                self._on_lease_transition)
+            self._manager = None
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None

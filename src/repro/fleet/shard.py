@@ -148,11 +148,9 @@ def simulate_device_day(device, mitigation, minutes):
 
     Returns a flat dict of scalars -- the *only* thing that survives
     the simulation. A fault-armed device's checker adds one
-    ``invariant:<name>`` count per violated invariant: names and
-    counts only, since a violation's detail names uids drawn from
-    process-global counters. The Phone, its apps and the event heap
-    are garbage the moment this returns, which is what keeps shard
-    memory flat.
+    ``invariant:<name>`` count per violated invariant. The Phone, its
+    apps, its checker and the event heap are garbage the moment this
+    returns, which is what keeps shard memory flat.
     """
     from repro.sim.summary import day_summary
 
@@ -175,11 +173,6 @@ def simulate_device_day(device, mitigation, minutes):
                    "(logged once per distinct reason; every occurrence "
                    "is in the shard's crash records)".format(
                        device.index, mitigation, crash_error))
-    finally:
-        # The checker's lease-transition hook is process-global: a
-        # crashed day must not leak it into the shard's next day.
-        if checker is not None:
-            checker.detach()
 
     summary = day_summary(phone, mark, buggy_uids=buggy_uids,
                           interactive_uids=interactive_uids)

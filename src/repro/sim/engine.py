@@ -15,6 +15,7 @@ not drag a bloated heap through every push and pop.
 """
 
 import heapq
+import itertools
 
 from heapq import heappop as _heappop, heappush as _heappush
 from time import monotonic as _monotonic
@@ -228,6 +229,10 @@ class Simulator:
         self.dispatched = 0
         #: Heap compactions performed (hygiene introspection).
         self.compactions = 0
+        #: The device's one id source: binder tokens, lease descriptors
+        #: and alarm, job and transfer ids are ``next(sim.ids)``, so the
+        #: ids a device hands out depend on its own history alone.
+        self.ids = itertools.count(1)
 
     def schedule(self, delay, callback):
         """Schedule ``callback()`` to run after ``delay`` seconds.

@@ -40,7 +40,8 @@ def test_make_app_builds_fresh_instances():
     case = CASES_BY_KEY["torch"]
     a, b = case.make_app(), case.make_app()
     assert a is not b
-    assert a.uid != b.uid
+    phone = case.build_phone(seed=1)  # uids are assigned at install
+    assert phone.install(a).uid != phone.install(b).uid
 
 
 def test_build_phone_for_helper():

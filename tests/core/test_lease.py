@@ -6,15 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.lease import Lease, LeaseState, LeaseTransitionError
 from repro.droid.resources import ResourceType
+from repro.sim.engine import Simulator
 
 
-def make_lease():
-    return Lease(uid=10001, rtype=ResourceType.WAKELOCK, record=None,
-                 proxy=None, created_at=0.0)
+def make_lease(descriptor=1):
+    return Lease(descriptor=descriptor, uid=10001,
+                 rtype=ResourceType.WAKELOCK, record=None, proxy=None,
+                 created_at=0.0)
 
 
 def test_new_lease_is_active_with_unique_descriptor():
-    a, b = make_lease(), make_lease()
+    ids = Simulator().ids  # the device's id source, as the manager uses
+    a, b = make_lease(next(ids)), make_lease(next(ids))
     assert a.state is LeaseState.ACTIVE
     assert a.descriptor != b.descriptor
     assert a.active
@@ -58,8 +61,8 @@ def test_any_state_may_die():
 
 
 def test_history_is_bounded():
-    lease = Lease(uid=1, rtype=ResourceType.GPS, record=None, proxy=None,
-                  created_at=0.0, history_size=4)
+    lease = Lease(descriptor=1, uid=1, rtype=ResourceType.GPS, record=None,
+                  proxy=None, created_at=0.0, history_size=4)
     for index in range(10):
         lease.record_term(index)
     assert list(lease.history) == [6, 7, 8, 9]

@@ -7,7 +7,8 @@ from repro.sim.engine import Simulator
 
 
 def test_binder_tokens_unique_and_hashable():
-    a, b = IBinder(), IBinder()
+    ids = Simulator().ids  # the device's id source, as services use it
+    a, b = IBinder(next(ids)), IBinder(next(ids))
     assert a != b
     assert a == a
     assert len({a, b, a}) == 2

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.apps.buggy import CASES_BY_KEY
-from repro.core import lease as lease_mod
 from repro.core.behavior import ResourceType
 from repro.core.lease import Lease, LeaseState
 from repro.faults.injector import FaultInjector
@@ -89,9 +88,10 @@ def test_backwards_time_is_detected():
 
 # -- lease state machine -----------------------------------------------------
 
-def make_lease():
-    return Lease(uid=10001, rtype=ResourceType.WAKELOCK, record=None,
-                 proxy=None, created_at=0.0)
+def make_lease(observers=()):
+    return Lease(descriptor=1, uid=10001, rtype=ResourceType.WAKELOCK,
+                 record=None, proxy=None, created_at=0.0,
+                 observers=observers)
 
 
 def test_direct_state_mutation_is_caught_by_the_hook():
@@ -124,18 +124,25 @@ def test_hook_sees_illegal_transition_even_if_table_is_corrupted():
 
 
 def test_transition_hooks_add_remove_roundtrip():
+    # Observers live on the lease manager that creates the leases, so
+    # another phone's leases never reach them.
+    phone, __ = build_phone(mitigation_key="leaseos")
+    other, __ = build_phone(mitigation_key="leaseos")
+    observers = phone.lease_manager.transition_observers
     seen = []
-    hook = lease_mod.add_transition_hook(
-        lambda lease, old, new: seen.append((old, new)))
-    try:
-        lease = make_lease()
-        lease.transition(LeaseState.DEFERRED)
-        assert seen == [(LeaseState.ACTIVE, LeaseState.DEFERRED)]
-    finally:
-        lease_mod.remove_transition_hook(hook)
+    observers.append(lambda lease, old, new: seen.append((old, new)))
+    lease = make_lease(observers)
+    lease.transition(LeaseState.DEFERRED)
+    assert seen == [(LeaseState.ACTIVE, LeaseState.DEFERRED)]
+    other.run_for(minutes=2.0)
+    assert len(seen) == 1
+    phone.run_for(minutes=2.0)
+    assert len(seen) > 1  # the manager's own leases report too
+    observers.clear()
+    count = len(seen)
     lease.transition(LeaseState.ACTIVE)
-    assert len(seen) == 1  # removed hooks stop firing
-    lease_mod.remove_transition_hook(hook)  # double-remove is safe
+    phone.run_for(minutes=2.0)
+    assert len(seen) == count  # removed observers stop firing
 
 
 # -- wakelocks after death ---------------------------------------------------
