@@ -205,14 +205,19 @@ class Phone:
             self.apps[uid].foreground = True
 
     def touch(self, uid=None):
-        """One user interaction with ``uid`` (default: foreground app)."""
+        """One user interaction with ``uid`` (default: foreground app).
+
+        The touch wakes the device either way; only a started app's
+        code handles it, so a killed app stays dead until restarted.
+        """
         target = uid if uid is not None else self.foreground_uid
         self.display.note_interaction()
         self.power.note_interaction()
         self.suspend.hold_awake("user", self.USER_ACTIVITY_WINDOW_S)
         self._fire_user_activity()
-        if target is not None and target in self.apps:
-            self.apps[target].user_touch()
+        app = self.apps.get(target)
+        if app is not None and app.started:
+            app.user_touch()
 
     def _fire_user_activity(self):
         for listener in list(self.user_activity_listeners):

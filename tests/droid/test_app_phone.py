@@ -87,6 +87,17 @@ def test_touch_specific_uid(phone):
     assert len(b.interaction_times) == 1
 
 
+def test_touch_never_runs_a_killed_apps_code(phone):
+    app = phone.install(Idle())
+    phone.kill_app(app.uid)
+    phone.touch(app.uid)  # still wakes the device...
+    assert phone.suspend.awake
+    assert not app.interaction_times  # ...but runs no code of the app
+    phone.restart_app(app.uid)
+    phone.touch(app.uid)
+    assert len(app.interaction_times) == 1
+
+
 def test_screen_on_keeps_device_awake(phone):
     phone.run_for(seconds=10.0)
     assert phone.suspend.suspended

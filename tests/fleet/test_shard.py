@@ -78,6 +78,18 @@ def test_a_chaos_shard_counts_violated_invariants(monkeypatch):
         assert counters["invariant:wakelock_after_death"] == 1
 
 
+def test_a_scripted_touch_runs_no_killed_apps_code():
+    # Device 2019: a fault kills PodcastPlayer at 126.5 s, and a later
+    # touch of the user script used to start its playback for the dead
+    # uid, which the checker flagged as wakelock_after_death.
+    population = PopulationSpec(seed=2019, devices=2020, minutes=15.0,
+                                chaos_rate=0.5)
+    for mitigation in population.mitigations:
+        summary = simulate_device_day(population.device(2019), mitigation,
+                                      population.minutes)
+        assert not [key for key in summary if key.startswith("invariant:")]
+
+
 def test_a_crashed_chaos_day_leaves_no_lease_hook_behind(monkeypatch):
     # Device 847's killed K-9 crashes the day once its alarm outlives
     # it; the checker observes that phone's lease manager only, so
