@@ -20,7 +20,10 @@ what "wrong" means, independent of any policy under test:
 A checker is attached to one phone and samples periodically on the
 phone's own simulator (plus an observer on the phone's lease manager,
 where sampling could miss), so it is itself deterministic and costs
-nothing when everything holds.
+nothing when everything holds. It observes without perturbing: its
+ticks bypass event-delivery jitter, and it reads the ledger and battery
+as they stood at their last settle instead of settling them, so a
+checked day computes exactly what an unchecked one does.
 """
 
 from dataclasses import dataclass, field
@@ -74,9 +77,9 @@ class InvariantChecker:
         self._last_now = self.sim.now
         self._shadow = {}  # id(lease) -> (lease, LeaseState)
         self._dead_uids = set()
-        # Everything is measured as a delta from attach time, so a
-        # checker can be attached to a phone that already ran.
-        phone.monitor.settle()
+        # Energy is measured as a delta from the last settle before
+        # attach, so a checker can be attached to a phone that already
+        # ran. The ledger and battery move together at every settle.
         self._ledger_baseline_mj = phone.monitor.ledger.total_mj()
         self._battery_baseline_mj = phone.battery.remaining_mj
         #: The lease manager whose transitions this checker observes
@@ -85,7 +88,8 @@ class InvariantChecker:
         if self._manager is not None:
             self._manager.transition_observers.append(
                 self._on_lease_transition)
-        self._timer = self.sim.every(interval_s, self.check_now)
+        self._interval_s = interval_s
+        self._timer = self.sim.schedule(interval_s, self._tick)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -125,6 +129,13 @@ class InvariantChecker:
 
     # -- the checks --------------------------------------------------------
 
+    def _tick(self):
+        self.check_now()
+        self._timer = self.sim.reschedule(self._timer, self._interval_s)
+
+    #: Delivered on time, without a jitter draw (:mod:`repro.faults.jitter`).
+    _tick.exact_delivery = True
+
     def check_now(self):
         """Run every sampled invariant at the current instant."""
         self.checks_run += 1
@@ -148,9 +159,9 @@ class InvariantChecker:
         self._last_now = max(self._last_now, now)
 
     def _check_energy_conservation(self):
-        monitor = self.phone.monitor
-        monitor.settle()
-        ledger = monitor.ledger
+        # As of the last settle: settling here would split the
+        # monitor's integration segments and move the day's last digits.
+        ledger = self.phone.monitor.ledger
         total = ledger.total_mj()
         tol = self.ENERGY_ABS_TOL_MJ + self.ENERGY_REL_TOL * abs(total)
         drift = ledger.consistency_error_mj()

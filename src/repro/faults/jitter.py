@@ -16,6 +16,10 @@ actually runs. Delayed callbacks go back through the normal queue, so
 when they surface they are jittered again with the same probability --
 termination is guaranteed for p < 1 because each retry consumes fresh
 rng draws from a finite deterministic stream.
+
+A callback whose function is marked ``exact_delivery`` -- an observer's
+tick, such as the invariant checker's -- runs at once and draws
+nothing, so observing a jittered day never moves it.
 """
 
 
@@ -38,7 +42,8 @@ class DispatchJitter:
 
     def dispatch(self, callback):
         """Deliver ``callback`` now, or re-queue it a moment later."""
-        if self.rng.random() < self.probability:
+        if not getattr(callback, "exact_delivery", False) \
+                and self.rng.random() < self.probability:
             self.delayed += 1
             self.sim.schedule(self.rng.random() * self.max_delay_s,
                               callback)

@@ -90,6 +90,28 @@ def test_a_scripted_touch_runs_no_killed_apps_code():
         assert not [key for key in summary if key.startswith("invariant:")]
 
 
+def test_the_invariant_checker_does_not_perturb_the_day_it_checks(
+        monkeypatch):
+    # Device 5 has an event_jitter fault, whose rng the checker's ticks
+    # drew from; on every chaos device its checks settled the power
+    # monitor, splitting integration segments (device 0's last digit).
+    from repro.faults import invariants
+
+    population = PopulationSpec(seed=77, devices=6, minutes=3.0,
+                                chaos_rate=0.5)
+
+    def days():
+        return [simulate_device_day(population.device(index), mitigation,
+                                    population.minutes)
+                for index in range(population.devices)
+                for mitigation in population.mitigations]
+
+    checked = days()
+    monkeypatch.setattr(invariants, "InvariantChecker",
+                        lambda phone, interval_s: None)
+    assert days() == checked
+
+
 def test_a_crashed_chaos_day_leaves_no_lease_hook_behind(monkeypatch):
     # Device 847's killed K-9 crashes the day once its alarm outlives
     # it; the checker observes that phone's lease manager only, so

@@ -65,10 +65,10 @@ def test_kernel_shard_streams_golden(tmp_path, monkeypatch):
     assert all(s["stats"]["vanilla"]["counters"]["faults_applied"]
                for s in summaries)
     assert hashlib.sha256(canonical_json(events).encode()).hexdigest() \
-        == "391ad36e8407d3370d4e7cbc7befebffdc3f78684230c19c923c9c57666d4d6e"
+        == "49575a4ee0e234c4fd26cbfb1b15efa9757756de23cc6d7135645a50bdf9ceec"
     assert hashlib.sha256(json.dumps(summaries, sort_keys=True)
                           .encode()).hexdigest() \
-        == "83a52652191eed55d347e70e9894f97e31a56e80604ac79a4627c7e1567a7dd0"
+        == "f237015fead82856880f171eca091ff335fef957de92551b48b023babaec276e"
 
 
 def test_shard_streams_are_order_independent_goldens(tmp_path,

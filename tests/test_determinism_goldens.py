@@ -139,7 +139,7 @@ def test_golden_fleet_report(tmp_path):
                          checkpoint_dir=str(tmp_path / "ck"))
     text = report_json(build_report(population, runner.run()))
     assert _digest(text) == (
-        "f8fd5a6871263ab9c3e7a92da91b3038f7c0517a62e93a680b681dc8c7621263")
+        "6c0ed3f4f98a7fdb33c9cdcb6a4b5744b525ac256a4731394dbc707e43ce5776")
 
 
 def test_golden_fleet_report_vector(tmp_path):
