@@ -12,9 +12,8 @@ the paper-style table/series; ``--out DIR`` additionally writes the text
 artifact into DIR.
 
 Grid-shaped experiments accept ``--jobs N`` (parallel workers; default 1
-== serial, or the ``REPRO_JOBS`` environment variable), ``--no-cache``
-(disable the on-disk result cache) and ``--cache-dir DIR`` (default
-``results/.cache``). Cached jobs are keyed by a content hash of the job
+== serial), ``--no-cache`` (disable the on-disk result cache) and
+``--cache-dir DIR`` (default ``results/.cache``). Cached jobs are keyed by a content hash of the job
 spec, so a warm re-run performs no fresh simulation.
 """
 
@@ -662,12 +661,12 @@ def build_parser():
     def add_grid_args(sub):
         sub.add_argument("--jobs", type=int, default=None, metavar="N",
                          help="parallel simulation workers (default: "
-                              "serial; env REPRO_JOBS)")
+                              "serial)")
         sub.add_argument("--no-cache", action="store_true",
                          help="disable the on-disk result cache")
         sub.add_argument("--cache-dir", metavar="DIR", default=None,
                          help="result cache directory (default: "
-                              "results/.cache; env REPRO_CACHE_DIR)")
+                              "results/.cache)")
 
     def add_supervision_args(sub):
         # Declaring these flags is what opts the subcommand into the

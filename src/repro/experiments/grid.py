@@ -9,9 +9,9 @@ simulations. This module makes that structure first-class:
   name) or a :class:`FuncSpec` (a module-level function plus scalar
   kwargs);
 - :class:`GridRunner` runs a batch in process when it has one worker
-  (``jobs`` argument, or the ``REPRO_JOBS`` environment variable;
-  default 1) and otherwise fans it out over the reused fork workers of
-  a :class:`~repro.resilience.supervisor.Supervisor` -- the runner's
+  (the ``jobs`` argument; default 1) and otherwise fans it out over
+  the reused fork workers of a
+  :class:`~repro.resilience.supervisor.Supervisor` -- the runner's
   own, or :func:`default_supervisor`'s, which stops at the first failed
   job. Results always come back in *spec order*, regardless of
   completion order;
@@ -38,8 +38,7 @@ from enum import Enum
 from repro.io import atomic_write, canonical_json
 from repro.version import code_digest
 
-#: Default on-disk cache location (relative to the working directory,
-#: overridable with ``REPRO_CACHE_DIR``).
+#: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = os.path.join("results", ".cache")
 
 
@@ -300,10 +299,7 @@ class FuncSpec:
 class ResultCache:
     """Content-addressed JSON store for completed grid jobs."""
 
-    def __init__(self, directory=None):
-        if directory is None:
-            directory = os.environ.get("REPRO_CACHE_DIR",
-                                       DEFAULT_CACHE_DIR)
+    def __init__(self, directory=DEFAULT_CACHE_DIR):
         self.directory = directory
 
     def key_for(self, spec):
@@ -380,13 +376,6 @@ class RunnerStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _default_jobs():
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def default_supervisor():
     """The supervisor an unsupervised :class:`GridRunner` runs a batch
     with more than one effective worker on.
@@ -405,10 +394,10 @@ def default_supervisor():
 class GridRunner:
     """Fans declarative job specs out over workers, with memoisation.
 
-    ``jobs``: worker count; ``None`` reads ``REPRO_JOBS`` (default 1 ==
-    serial in-process). ``cache``: ``None``/``False`` disables caching,
-    ``True`` uses the default directory, a string is a directory, or
-    pass a :class:`ResultCache`. ``REPRO_CACHE=0`` force-disables.
+    ``jobs``: worker count (``None`` or 1 == serial in-process).
+    ``cache``: ``None``/``False`` disables caching, ``True`` uses the
+    default directory, a string is a directory, or pass a
+    :class:`ResultCache`.
     ``supervisor``: an optional :class:`~repro.resilience.supervisor.
     Supervisor`; when set, every executed batch runs under its
     deadline/retry/quarantine state machine and jobs that end in
@@ -422,9 +411,7 @@ class GridRunner:
     """
 
     def __init__(self, jobs=None, cache=None, supervisor=None):
-        self.jobs = _default_jobs() if jobs is None else max(1, int(jobs))
-        if os.environ.get("REPRO_CACHE", "1") == "0":
-            cache = None
+        self.jobs = 1 if jobs is None else max(1, int(jobs))
         if cache is True:
             cache = ResultCache()
         elif isinstance(cache, str):

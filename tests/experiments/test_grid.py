@@ -255,18 +255,6 @@ def test_duplicate_specs_execute_once():
     assert runner.stats.executed == 1
 
 
-def test_repro_jobs_env_sets_default(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "3")
-    assert GridRunner().jobs == 3
-    monkeypatch.setenv("REPRO_JOBS", "bogus")
-    assert GridRunner().jobs == 1
-
-
-def test_repro_cache_env_force_disables(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    assert GridRunner(cache=str(tmp_path)).cache is None
-
-
 # -- refactored harnesses stay consistent with their serial selves ----------
 
 def test_robustness_seed_sweep_through_runner_matches_direct():
