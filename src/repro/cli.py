@@ -13,8 +13,9 @@ artifact into DIR.
 
 Grid-shaped experiments accept ``--jobs N`` (parallel workers; default 1
 == serial), ``--no-cache`` (disable the on-disk result cache) and
-``--cache-dir DIR`` (default ``results/.cache``). Cached jobs are keyed by a content hash of the job
-spec, so a warm re-run performs no fresh simulation.
+``--cache-dir DIR`` (default ``results/.cache``). Cached jobs are keyed
+by a content hash of the job spec, so a warm re-run performs no fresh
+simulation.
 """
 
 import argparse

@@ -133,7 +133,8 @@ class InvariantChecker:
         self.check_now()
         self._timer = self.sim.reschedule(self._timer, self._interval_s)
 
-    #: Delivered on time, without a jitter draw (:mod:`repro.faults.jitter`).
+    # The jitter fault (repro.faults.jitter) delivers the tick on time
+    # and draws nothing for it: watching a day must not move it.
     _tick.exact_delivery = True
 
     def check_now(self):
