@@ -25,10 +25,11 @@ executor, :func:`~repro.fleet.vector.replay_shard_vector`:
 Both speedups are timed the same way (:func:`_interleaved`): the two
 legs run in :data:`PAIRS` interleaved pairs in this process,
 alternating which leg runs first, each gate divides the legs' min-of-N
-times, and every pair's times and ratio are recorded beside it. So one
-slow moment of a shared host moves neither verdict, and the first
-replay of the process, which pays one-time set-up such as importing
-numpy, shows in its pair without standing for the engine's throughput.
+times, and every pair's times and ratio are recorded beside it. So a
+slow moment of a shared host, which only adds time, cannot sink a
+verdict on its own, and the first replay of the process, which pays
+one-time set-up such as importing numpy, shows in its pair without
+standing for the engine's throughput.
 
 The backend law keeps its buggy pool to six cases and its buggy
 prevalence low enough that no device of the 10^6 fleet is all-buggy
@@ -109,11 +110,13 @@ def _interleaved(slow, fast):
     the record block: each leg's per-pair seconds and min-of-N
     throughput, every pair's speedup, and the gated speedup of the
     min-of-N times."""
+    legs = (slow, fast)
     times = ([], [])
     for pair in range(PAIRS):
         for leg in ((0, 1) if pair % 2 == 0 else (1, 0)):
+            run = legs[leg][1]
             start = time.perf_counter()
-            (slow, fast)[leg][1]()
+            run()
             times[leg].append(time.perf_counter() - start)
 
     def speedup(slow_s, fast_s):
@@ -124,7 +127,7 @@ def _interleaved(slow, fast):
                                for s, f in zip(*times)],
              # Unrounded: the record shows exactly what the gate compared.
              "speedup": speedup(min(times[0]), min(times[1]))}
-    for (name, __, days), seconds in zip((slow, fast), times):
+    for (name, __, days), seconds in zip(legs, times):
         block[name + "_device_days"] = days
         block[name + "_s"] = [round(s, 3) for s in seconds]
         block[name + "_device_days_per_s"] = round(days / min(seconds), 2)
