@@ -11,10 +11,10 @@ POPULATION = PopulationSpec(seed=2019, devices=3000, minutes=15.0,
 DEVICE = 2019
 
 
-def build(mitigation="leaseos"):
+def build():
     device = POPULATION.device(DEVICE)
     phone, buggy_uids, interactive_uids, injector = \
-        build_device_phone(device, mitigation)
+        build_device_phone(device, "leaseos")
     phone.sim.spawn(user_day(phone, device,
                              interactive_uids or buggy_uids),
                     name="fleet.user")
