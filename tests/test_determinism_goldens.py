@@ -191,3 +191,31 @@ def test_golden_chaos_case_fingerprint():
     assert first["faults_applied"] > 0
     assert first["fingerprint"] == (
         "8605d6cadbf14bc7814b49eb8db7e20265a3aa9167abb39af082873a0a6aa57b")
+
+
+def test_golden_kernel_scenarios_law():
+    # The kernel-scenarios benchmark's law (perfbench's population at
+    # seed 2019), devices 0-11 under vanilla and leaseos: 24 kernel
+    # device-days with GPS, sensor, audio, Bluetooth and K-9 apps,
+    # generated scenario apps and screen-off sessions. Every summary
+    # float is pinned, so any kernel change that moves one settle
+    # point, one summation order or one event fails here. Devices 2,
+    # 3, 6 and 11 carry three to five buggy or scenario apps, whose
+    # summed power is where a compensated ``sum()`` (Python 3.12+)
+    # would move the last digits.
+    from repro.fleet.population import PopulationSpec
+    from repro.fleet.shard import simulate_device_day
+    from repro.io import canonical_json
+    from repro.scenarios.catalog import default_catalog
+
+    population = PopulationSpec(
+        seed=2019, devices=300, minutes=15, shard_size=50,
+        catalog_json=default_catalog(2019).to_json(),
+        scenario_prevalence=0.2)
+    rows = [simulate_device_day(population.device(index), mitigation,
+                                population.minutes)
+            for index in range(12) for mitigation in ("vanilla", "leaseos")]
+    assert [row["buggy_installed"] for row in rows[4:8] + rows[12:14]
+            + rows[22:24]] == [4, 4, 4, 4, 3, 3, 5, 5]
+    assert _digest(canonical_json(rows)) == (
+        "dc965b6487adc349cac4c217c4034afc20e53abce5f1089be286e3628cb70631")
