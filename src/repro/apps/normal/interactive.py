@@ -15,6 +15,7 @@ three resource-backed flows of Fig. 14 (sensor / wakelock / GPS).
 from repro.droid.app import App
 from repro.droid.exceptions import NetworkException
 from repro.droid.sensors import SensorType
+from repro.io import left_sum
 from repro.sim.events import Event
 
 
@@ -176,7 +177,7 @@ class LatencyProbeApp(App):
         else:
             yield from self._gps_flow()
         self.post_ui_update()
-        ipc_extra = sum(
+        ipc_extra = left_sum(
             c.latency_s for c in self.ctx.ipc.calls_for(self.uid)
         [calls_before:])
         self.flow_latencies.append(
@@ -219,5 +220,5 @@ class LatencyProbeApp(App):
     def mean_latency_ms(self):
         if not self.flow_latencies:
             return 0.0
-        return 1000.0 * sum(d for _, d in self.flow_latencies) \
+        return 1000.0 * left_sum(d for _, d in self.flow_latencies) \
             / len(self.flow_latencies)

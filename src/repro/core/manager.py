@@ -15,6 +15,7 @@ from repro.core.policy import LeasePolicy
 from repro.core.stats import TermRecord, UtilityMetrics
 from repro.core.utility import combine_utility, generic_utility
 from repro.device.power import SYSTEM_UID
+from repro.io import left_sum
 
 
 class Decision:
@@ -260,14 +261,14 @@ class LeaseManager:
                 self.policy.utility_smoothing_terms - 1)
             if end - r.end <= max_age
         ]
-        agg_duration = term_s + sum(r.duration for r in recent)
+        agg_duration = term_s + left_sum(r.duration for r in recent)
         agg_ui = ui + sum(r.metrics.ui_updates for r in recent)
         agg_inter = interactions + sum(r.metrics.interactions
                                        for r in recent)
         agg_writes = writes + sum(r.metrics.data_writes for r in recent)
         agg_exceptions = exceptions + sum(r.metrics.exceptions
                                           for r in recent)
-        agg_distance = stats.get("distance_moved", 0.0) + sum(
+        agg_distance = stats.get("distance_moved", 0.0) + left_sum(
             r.metrics.extras.get("distance_moved", 0.0) for r in recent
         )
         # FAB evidence: ask time over the last few terms.
@@ -275,7 +276,7 @@ class LeaseManager:
             r for r in lease.recent_terms(self.policy.fab_window_terms - 1)
             if end - r.end <= max_age
         ]
-        ask_window = stats.get("ask_time", 0.0) + sum(
+        ask_window = stats.get("ask_time", 0.0) + left_sum(
             r.metrics.ask_time for r in fab_recent
         )
         generic = generic_utility(

@@ -13,6 +13,8 @@ This is the substitute for the paper's Monsoon (system power) and Trepn
 
 from collections import defaultdict
 
+from repro.io import left_sum
+
 #: UID used for draws not attributable to any app (OS, baseline hardware).
 SYSTEM_UID = 1000
 
@@ -113,7 +115,7 @@ class EnergyLedger:
         (:mod:`repro.faults.invariants`) checks this continuously.
         """
         raw = self.snapshot()
-        raw_total = sum(raw.values())
+        raw_total = left_sum(raw.values())
         by_uid = defaultdict(float)
         by_rail = defaultdict(float)
         for (uid, rail), energy in raw.items():
@@ -277,7 +279,8 @@ class PowerMonitor:
         the historical per-call scan, so values are bit-identical.
         """
         if self._instant_dirty:
-            self._instant_mw = sum(s.power_mw for s in self._drawing.values())
+            self._instant_mw = left_sum(
+                s.power_mw for s in self._drawing.values())
             self._instant_dirty = False
         return self._instant_mw
 

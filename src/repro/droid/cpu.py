@@ -10,6 +10,8 @@ computed per lease term.
 
 from collections import defaultdict
 
+from repro.io import left_sum
+
 
 class CpuPowerModel:
     """Asserts the CPU rails from suspend state, wakelocks and compute load.
@@ -74,7 +76,7 @@ class CpuPowerModel:
         """The active-power multiplier at the current load (1.0 w/o DVFS)."""
         if self.dvfs is None:
             return 1.0
-        load = min(1.0, sum(self._computing.values())
+        load = min(1.0, left_sum(self._computing.values())
                    / self.profile.cpu_cores)
         return self.dvfs.power_scale_for_load(load)
 

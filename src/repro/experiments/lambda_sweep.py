@@ -19,6 +19,7 @@ from repro.apps.synthetic import random_slices
 from repro.core.policy import waste_reduction_ratio
 from repro.experiments.grid import FuncSpec, GridRunner
 from repro.experiments.runner import format_table
+from repro.io import left_sum
 
 PAPER_FIG12 = {1: 0.49, 2: 0.66, 3: 0.74, 4: 0.78, 5: 0.82}
 
@@ -92,7 +93,7 @@ def _lambda_job(lam, cases, slices_per_case, term_s, seed, max_slice_s):
     deferral = lam * term_s
     ratios = [trace_reduction(trace, term_s, deferral)
               for trace in traces]
-    return sum(ratios) / len(ratios)
+    return left_sum(ratios) / len(ratios)
 
 
 def run(cases=200, slices_per_case=200, lams=(1, 2, 3, 4, 5),

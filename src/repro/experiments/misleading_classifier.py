@@ -19,6 +19,7 @@ from repro.apps.buggy.cpu_apps import K9Mail, Kontalk, Torch
 from repro.apps.normal.heavy_holders import Flym, Pandora, Transdroid
 from repro.droid.phone import Phone
 from repro.experiments.runner import format_table
+from repro.io import left_sum
 from repro.mitigation import DefDroid, LeaseOS
 
 SUBJECTS = (
@@ -47,8 +48,8 @@ def _vanilla_hold_fraction(factory, phone_kwargs, minutes, seed):
     app = phone.install(factory())
     phone.run_for(minutes=minutes)
     phone.power.settle_stats()
-    held = sum(r.active_time for r in phone.power.records
-               if r.uid == app.uid)
+    held = left_sum(r.active_time for r in phone.power.records
+                    if r.uid == app.uid)
     return held / phone.sim.now
 
 

@@ -12,6 +12,7 @@ from repro.apps.normal.background import Spotify, TrepnProfiler
 from repro.apps.normal.interactive import popular_apps
 from repro.droid.phone import Phone
 from repro.experiments.runner import format_table
+from repro.io import left_sum
 from repro.mitigation import LeaseOS
 from repro.profiling.monsoon import MonsoonMonitor
 
@@ -73,8 +74,8 @@ def run(settings=None, seed=31, repeats=3):
         ]
         rows.append((
             setting,
-            sum(without) / len(without),
-            sum(with_lease) / len(with_lease),
+            left_sum(without) / len(without),
+            left_sum(with_lease) / len(with_lease),
         ))
     return rows
 

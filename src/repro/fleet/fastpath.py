@@ -93,7 +93,7 @@ import json
 import sys
 
 from repro.fleet.population import DeviceSpec, PopulationSpec
-from repro.io import canonical_json
+from repro.io import canonical_json, left_sum
 
 #: The table JSON's format field, hashed into its fingerprint. Code
 #: identity is not its job: every cached probe and checkpoint already
@@ -668,8 +668,8 @@ def _shared_overlap(normal_shared, buggy_shared):
     # machine-dependent. Sorted order is also what the vector engine
     # uses, so scalar and columnar composition agree bit-for-bit.
     for rail in sorted(rails):
-        normal_sum = sum(s.get(rail, 0.0) for s in normal_shared)
-        buggy_sum = sum(s.get(rail, 0.0) for s in buggy_shared)
+        normal_sum = left_sum(s.get(rail, 0.0) for s in normal_shared)
+        buggy_sum = left_sum(s.get(rail, 0.0) for s in buggy_shared)
         total = normal_sum + buggy_sum
         union = max(s.get(rail, 0.0)
                     for s in normal_shared + buggy_shared)

@@ -42,6 +42,8 @@ per value (``add``/``observe``) and is untouched by batching.
 import math
 import os
 
+from repro.io import left_sum
+
 #: Below this many values the numpy histogram path costs more in array
 #: conversion than it saves; the pure loop is used either way.
 _NUMPY_BATCH_MIN = 64
@@ -378,7 +380,7 @@ class QuantileDigest:
 
     @property
     def total_weight(self):
-        return sum(w for __, w in self.entries)
+        return left_sum(w for __, w in self.entries)
 
     def quantile(self, q):
         """The value at cumulative-weight fraction ``q`` (0..1)."""
@@ -386,7 +388,7 @@ class QuantileDigest:
             return None
         entries = sorted(self.entries)
         target = min(max(float(q), 0.0), 1.0) \
-            * sum(w for __, w in entries)
+            * left_sum(w for __, w in entries)
         cumulative = 0.0
         for value, weight in entries:
             cumulative += weight

@@ -1,21 +1,39 @@
-"""The canonical JSON format and the atomic file publish, in one place.
+"""The canonical JSON format, the atomic file publish and the float
+sum, in one place.
 
 Every fingerprint, cache key, journal crc, report and golden in the
 repo is computed over :func:`canonical_json` text, so that byte format
-is decided here and nowhere else. :func:`atomic_write` is the one
-tmp+rename publish behind the grid result cache, the fleet shard
-checkpoints and the lease journal's snapshots and compaction: a reader,
-or a process killed mid-write, never sees a torn file.
+is decided here and nowhere else. Every float total that can reach
+those bytes is added by :func:`left_sum`, so they are the same on every
+Python version. :func:`atomic_write` is the one tmp+rename publish
+behind the grid result cache, the fleet shard checkpoints and the lease
+journal's snapshots and compaction: a reader, or a process killed
+mid-write, never sees a torn file.
 """
 
 import json
 import os
 import tempfile
 
+from functools import reduce
+from operator import add
+
 
 def canonical_json(obj):
     """``obj`` as key-sorted, compact JSON text (ASCII-escaped)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def left_sum(values, start=0):
+    """``start + v0 + v1 + ...``, added left to right.
+
+    The builtin ``sum()`` compensates float rounding since Python 3.12
+    (Neumaier summation), so with three or more float terms its last
+    digits depend on the interpreter. This is the plain left fold that
+    ``sum()`` computed up to Python 3.11, including its int ``0`` for
+    no terms.
+    """
+    return reduce(add, values, start)
 
 
 def atomic_write(path, text, durable=False):

@@ -27,7 +27,7 @@ from repro.experiments.grid import (
 )
 from repro.fleet.report import _metric_block
 from repro.fleet.stats import FleetStats, wilson_interval
-from repro.io import canonical_json
+from repro.io import canonical_json, left_sum
 from repro.scenarios.catalog import ScenarioCatalog
 
 #: Mitigations `repro scenarios` compares by default; vanilla is always
@@ -203,10 +203,10 @@ def _family_block(rows, vanilla_rows, is_vanilla):
         block["containment"] = _rate_block(contained, trials)
         if savings:
             block["energy_saved_pct"] = round(
-                sum(savings) / len(savings), 6)
+                left_sum(savings) / len(savings), 6)
         if utility_ratios:
             block["utility_preserved"] = round(
-                sum(utility_ratios) / len(utility_ratios), 6)
+                left_sum(utility_ratios) / len(utility_ratios), 6)
     return block
 
 

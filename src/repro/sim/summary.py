@@ -14,6 +14,8 @@ Nothing here simulates; the hook only *extracts*. It lives in
 and every aggregation layer above it.
 """
 
+from repro.io import left_sum
+
 #: Battery-life projections are clamped to two weeks: a near-idle day
 #: divides by a tiny power draw and the resulting "years of battery"
 #: would dominate any population mean it is folded into.
@@ -30,7 +32,7 @@ def day_summary(phone, mark, buggy_uids=(), interactive_uids=()):
     :class:`~repro.fleet.stats.FleetStats` untouched.
     """
     system_mw = phone.power_since(mark)
-    buggy_mw = sum(phone.power_since(mark, uid) for uid in buggy_uids)
+    buggy_mw = left_sum(phone.power_since(mark, uid) for uid in buggy_uids)
     summary = {
         "system_power_mw": system_mw,
         "buggy_power_mw": buggy_mw,

@@ -1,11 +1,12 @@
-"""``repro.io``: the canonical JSON format and the atomic publish."""
+"""``repro.io``: the canonical JSON format, the atomic publish and the
+float sum."""
 
 import json
 import os
 
 import pytest
 
-from repro.io import atomic_write, canonical_json
+from repro.io import atomic_write, canonical_json, left_sum
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
 
@@ -21,6 +22,17 @@ def test_canonical_json_is_the_sorted_compact_format():
     assert canonical_json(sample).startswith('{"alpha":{"name":"caf\\u00e9')
     assert "0.30000000000000004" in canonical_json(sample)
     assert json.loads(canonical_json(sample)) == sample
+
+
+def test_left_sum_adds_left_to_right_on_every_python():
+    # 1e16 + 1.0 rounds back to 1e16 (ties to even), so the left fold
+    # reads 0.0; Python 3.12's compensated sum() would read 1.0.
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum([0.1, 0.2, 0.3]) == (0.1 + 0.2) + 0.3
+    assert left_sum([0.2, 0.3], 0.1) == (0.1 + 0.2) + 0.3
+    assert left_sum(x for x in (2.5, 1.5)) == 4.0
+    empty = left_sum([])
+    assert empty == 0 and type(empty) is int  # as sum() of no terms
 
 
 def test_atomic_write_replaces_the_content(tmp_path):
