@@ -6,7 +6,8 @@ executor, :func:`~repro.fleet.vector.replay_shard_vector`:
 
 - ``kernel``: kernel vs table-replay device-days/sec at the canonical
   30 sim-min day on a narrow law, and the speedup (>= 1000x,
-  asserted), with the one-off table build timed separately;
+  asserted), with the one-off table build and the process's first
+  replay timed separately;
 - ``cross_validation``: kernel vs table on >= 50 seeded random
   device-days drawn from the *default* heterogeneous sampling law,
   judged against the frozen per-metric tolerances (pass asserted);
@@ -22,15 +23,15 @@ executor, :func:`~repro.fleet.vector.replay_shard_vector`:
 - ``fleet_scale``: a 10^6-device end-to-end replay (sampling, class
   resolution, composition, folding, merge) under 60 s (asserted).
 
-The kernel comparison is single-shot: one timed batch of kernel
-device-days, then the table build, then one timed replay, which is the
-process's first and so includes the one-off set-up (importing numpy,
-for one) that a replay process pays. The backend comparison is timed
-by :func:`_interleaved`: the two legs run in :data:`PAIRS` interleaved
-pairs in this process, alternating which leg runs first, the gate
-divides the legs' min-of-N times, and every pair's times and ratio are
-recorded beside it, so a slow moment of a shared host, which only adds
-time, cannot sink the verdict on its own.
+Both speed gates are timed by :func:`_interleaved`: the two legs run
+in :data:`PAIRS` interleaved pairs in this process, alternating which
+leg runs first, the gate divides the legs' min-of-N times, and every
+pair's times and ratio are recorded beside it, so a slow moment of a
+shared host, which only adds time, cannot sink the verdict on its own.
+The kernel comparison's replay leg is warm, as every shard of a fleet
+run after the process's first is: the process's first replay, which
+includes one-off set-up such as importing numpy, runs before the pairs
+and is recorded (``first_replay_s``) but not gated.
 
 The backend law keeps its buggy pool to six cases and its buggy
 prevalence low enough that no device of the 10^6 fleet is all-buggy
@@ -142,43 +143,42 @@ def _kernel_block():
                                 **KERNEL_POOLS)
     days = len(population.mitigations)
 
-    # Kernel baseline: a few real event-loop device-days.
-    start = time.perf_counter()
-    for index in range(KERNEL_SAMPLE_DEVICES):
-        for mitigation in population.mitigations:
-            simulate_device_day(population.device(index), mitigation,
-                                MINUTES)
-    kernel_s = time.perf_counter() - start
-    kernel_dd_s = KERNEL_SAMPLE_DEVICES * days / kernel_s
+    def kernel():
+        # Kernel baseline: a few real event-loop device-days.
+        for index in range(KERNEL_SAMPLE_DEVICES):
+            for mitigation in population.mitigations:
+                simulate_device_day(population.device(index), mitigation,
+                                    MINUTES)
+
+    def replay():
+        # Replay throughput: sampling, composition and batched folding.
+        stats, __ = replay_shard_vector(population, 0, REPLAY_DEVICES,
+                                        table)
+        for name in population.mitigations:
+            assert stats[name].counters["fastpath_devices"] \
+                == REPLAY_DEVICES
+            assert stats[name].counters.get("fastpath_fallbacks", 0) == 0
 
     # One-off table build (uncached, honestly timed).
     start = time.perf_counter()
     table = build_table(population, runner=_runner())
     table_s = time.perf_counter() - start
 
-    # Replay throughput: sampling, composition and batched folding.
+    # The process's first replay pays one-off set-up: recorded only.
     start = time.perf_counter()
-    stats, __ = replay_shard_vector(population, 0, REPLAY_DEVICES, table)
-    replay_s = time.perf_counter() - start
-    replay_dd_s = REPLAY_DEVICES * days / replay_s
-    for name in population.mitigations:
-        assert stats[name].counters["fastpath_devices"] == REPLAY_DEVICES
-        assert stats[name].counters.get("fastpath_fallbacks", 0) == 0
+    replay()
+    first_replay_s = time.perf_counter() - start
 
-    return {
-        "minutes_per_device_day": MINUTES,
-        "kernel_device_days": KERNEL_SAMPLE_DEVICES * days,
-        "kernel_s": round(kernel_s, 3),
-        "kernel_device_days_per_s": round(kernel_dd_s, 2),
-        "table_probes": len(table.entries),
-        "table_build_s": round(table_s, 2),
-        "replay_device_days": REPLAY_DEVICES * days,
-        "replay_s": round(replay_s, 3),
-        "replay_device_days_per_s": round(replay_dd_s, 1),
-        # Unrounded: the record shows exactly what the gate compared.
-        "speedup": replay_dd_s / kernel_dd_s,
-        "min_speedup": MIN_KERNEL_SPEEDUP,
-    }
+    block = _interleaved(
+        ("kernel", kernel, KERNEL_SAMPLE_DEVICES * days),
+        ("replay", replay, REPLAY_DEVICES * days))
+    return dict(
+        block,
+        minutes_per_device_day=MINUTES,
+        table_probes=len(table.entries),
+        table_build_s=round(table_s, 2),
+        first_replay_s=round(first_replay_s, 3),
+        min_speedup=MIN_KERNEL_SPEEDUP)
 
 
 def _cross_validation_block():
