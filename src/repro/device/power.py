@@ -130,13 +130,17 @@ class EnergyLedger:
 
 
 class _Rail:
-    __slots__ = ("power_mw", "owners", "cells")
+    __slots__ = ("power_mw", "owners", "one", "cells")
 
     def __init__(self):
         self.power_mw = 0.0
         self.owners = ()
-        #: ``EnergyLedger.cells`` for the current owners, looked up at
-        #: the first settle that integrates them (None until then).
+        #: The ledger cells for the current owners, looked up at the
+        #: first settle that integrates them (None until then): for a
+        #: single owner (the system, for none) the ``(pair, uid, rail)``
+        #: cell triple in ``one``, otherwise ``EnergyLedger.cells`` in
+        #: ``cells``.
+        self.one = None
         self.cells = None
 
 
@@ -180,8 +184,10 @@ class PowerMonitor:
         """
         if power_mw < 0:
             raise ValueError("rail power must be >= 0, got {}".format(power_mw))
-        power_mw = float(power_mw)
-        owners = tuple(owners)
+        if type(power_mw) is not float:
+            power_mw = float(power_mw)
+        if type(owners) is not tuple:
+            owners = tuple(owners)
         state = self._rails.get(rail)
         if state is not None and state.power_mw == power_mw \
                 and state.owners == owners:
@@ -192,7 +198,7 @@ class PowerMonitor:
         state.power_mw = power_mw
         if state.owners != owners:
             state.owners = owners
-            state.cells = None
+            state.one = state.cells = None
         if power_mw > 0.0:
             self._drawing[rail] = state
         else:
@@ -233,30 +239,45 @@ class PowerMonitor:
         for rail, state in self._drawing.items():
             energy_mj = state.power_mw * elapsed  # mW == mJ/s
             drained_mj += energy_mj
-            cells = state.cells
-            if cells is None:
-                cells = state.cells = ledger.cells(
-                    rail, state.owners or (SYSTEM_UID,))
-            rail_cell, owner_cells = cells
-            if len(owner_cells) == 1:
-                # The common case, without the loop: the one owner's
-                # share is the whole draw (``x / 1`` is exact).
-                (pair_cell, uid_cell), = owner_cells
-                pair_cell.mj += energy_mj
-                uid_cell.mj += energy_mj
-                rail_cell.mj += energy_mj
-                total_mj += energy_mj
+            one = state.one
+            if one is None and state.cells is None:
+                one = self._look_up_cells(rail, state)
+            if one is None:
+                rail_cell, owner_cells = state.cells
+                share = energy_mj / len(owner_cells)
+                for pair_cell, uid_cell in owner_cells:
+                    pair_cell.mj += share
+                    uid_cell.mj += share
+                    rail_cell.mj += share
+                    total_mj += share
                 continue
-            share = energy_mj / len(owner_cells)
-            for pair_cell, uid_cell in owner_cells:
-                pair_cell.mj += share
-                uid_cell.mj += share
-                rail_cell.mj += share
-                total_mj += share
+            # The common case, without the loop: the one owner's share
+            # is the whole draw (``x / 1`` is exact).
+            pair_cell, uid_cell, rail_cell = one
+            pair_cell.mj += energy_mj
+            uid_cell.mj += energy_mj
+            rail_cell.mj += energy_mj
+            total_mj += energy_mj
         ledger._total_mj = total_mj
-        if self.battery is not None and drained_mj > 0:
-            self.battery.drain_mj(drained_mj)
+        battery = self.battery
+        if battery is not None and drained_mj > 0:
+            # Battery.drain_mj inline, with its clamp at empty.
+            remaining_mj = battery.remaining_mj
+            battery.remaining_mj = remaining_mj - (
+                remaining_mj if remaining_mj < drained_mj else drained_mj)
         self._last_settle = now
+
+    def _look_up_cells(self, rail, state):
+        """Cache ``state``'s ledger cells; returns its ``one`` triple
+        (None with several owners)."""
+        rail_cell, owner_cells = self.ledger.cells(
+            rail, state.owners or (SYSTEM_UID,))
+        if len(owner_cells) == 1:
+            (pair_cell, uid_cell), = owner_cells
+            state.one = (pair_cell, uid_cell, rail_cell)
+        else:
+            state.cells = (rail_cell, owner_cells)
+        return state.one
 
     def add_energy(self, uid, rail, energy_mj):
         """Account a discrete energy cost (e.g. one lease-stat update).
