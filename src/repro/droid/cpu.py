@@ -38,6 +38,9 @@ class CpuPowerModel:
         self.suspended = False
         self._awake_owner_uids = ()
         self._computing = defaultdict(float)  # uid -> cores in use
+        #: The uids computing now (cores > 0) -> min(cores, cpu_cores),
+        #: the cores their CPU time accrues at.
+        self._running = {}
         self._cpu_time = defaultdict(float)  # uid -> accumulated active s
         self._active_rails = {}  # uid -> ("cpu_active:<uid>", (uid,))
         self._last_settle = sim.now
@@ -49,11 +52,9 @@ class CpuPowerModel:
         now = self.sim.now
         elapsed = now - self._last_settle
         if elapsed > 0 and not self.suspended:
-            for uid, cores in self._computing.items():
-                if cores > 0:
-                    self._cpu_time[uid] += elapsed * min(
-                        cores, self.profile.cpu_cores
-                    )
+            cpu_time = self._cpu_time
+            for uid, effective in self._running.items():
+                cpu_time[uid] += elapsed * effective
         self._last_settle = now
 
     def cpu_time(self, uid):
@@ -99,21 +100,29 @@ class CpuPowerModel:
 
     def begin_compute(self, uid, cores=1.0):
         self._settle_times()
-        self._computing[uid] += cores
-        self._load_changed(uid)
+        self._set_load(uid, self._computing[uid] + cores)
 
     def end_compute(self, uid, cores=1.0):
         self._settle_times()
-        self._computing[uid] = max(0.0, self._computing[uid] - cores)
-        self._load_changed(uid)
+        self._set_load(uid, max(0.0, self._computing[uid] - cores))
 
     # -- rails --------------------------------------------------------------
 
-    def _load_changed(self, uid):
+    def _set_load(self, uid, cores):
+        self._computing[uid] = cores
+        effective = min(cores, self.profile.cpu_cores)
+        if cores > 0:
+            self._running[uid] = effective
+        else:
+            self._running.pop(uid, None)
         if self.suspended or self.dvfs is not None:
             self._recompute()
         else:
-            self._set_active_rail(uid, 1.0)  # the scale without DVFS
+            # Awake without DVFS only this uid's rail moves, at scale 1.
+            rail, owners = self._active_rails.get(uid) \
+                or self._active_rail(uid)
+            self.monitor.set_rail(
+                rail, self.profile.cpu_active_mw * effective, owners)
 
     def _recompute(self):
         """Re-assert every CPU rail."""
