@@ -33,6 +33,10 @@ class ProcessState(enum.Enum):
     KILLED = "killed"  # externally terminated
 
 
+_RUNNING = ProcessState.RUNNING
+_PAUSED = ProcessState.PAUSED
+
+
 class Process:
     """A cooperative process owned by a :class:`~repro.sim.engine.Simulator`.
 
@@ -120,8 +124,9 @@ class Process:
     # -- stepping ----------------------------------------------------------
 
     def _advance(self, send_value=None):
-        if not self.alive:
-            return
+        state = self.state
+        if state is not _RUNNING and state is not _PAUSED:
+            return  # done or killed
         fired = self._timer  # the timer that woke us, if one did
         self._timer = None
         self._waited_event = None
@@ -135,6 +140,13 @@ class Process:
         except ProcessKilled:
             self.state = ProcessState.KILLED
             self.done_event.fire(None)
+            return
+        if type(yielded) is Timeout and self.state is _RUNNING \
+                and fired is not None and fired.callback is self._wake \
+                and fired.fired and not fired.cancelled:
+            # The common step, _wait_on's re-arm branch without its
+            # type dispatch: the timer that just woke us sleeps again.
+            self._timer = self.sim.reschedule(fired, yielded.delay)
             return
         self._wait_on(yielded, fired)
 
