@@ -65,6 +65,9 @@ class App:
         self.interaction_times = []
         self.data_write_times = []
         self.disruptions = []  # (time, description) usability incidents
+        #: One read-only Timeout per distinct delay, shared by every
+        #: sleep and compute step of the app.
+        self._timeouts = {}
 
     # -- lifecycle (called by Phone) ----------------------------------------
 
@@ -124,7 +127,10 @@ class App:
 
     def sleep(self, seconds):
         """Yieldable: sleep for ``seconds`` of (awake) simulated time."""
-        return Timeout(seconds)
+        timeout = self._timeouts.get(seconds)
+        if timeout is None:
+            timeout = self._timeouts[seconds] = Timeout(seconds)
+        return timeout
 
     def compute(self, cpu_seconds, cores=1.0):
         """Generator: burn CPU for ``cpu_seconds`` of work.
@@ -137,7 +143,7 @@ class App:
         wall = cpu_seconds / self.ctx.profile.speed_factor
         cpu.begin_compute(self.uid, cores)
         try:
-            yield Timeout(wall)
+            yield self.sleep(wall)
         finally:
             cpu.end_compute(self.uid, cores)
 
