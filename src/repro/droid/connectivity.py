@@ -14,8 +14,6 @@ exception due to timeout might occur ... the app is already required to
 handle such exception").
 """
 
-from collections import defaultdict
-
 from repro.droid.exceptions import (
     NoRouteException,
     ServerErrorException,
@@ -33,6 +31,19 @@ class _Transfer:
         self.interrupted = False
 
 
+class _Radio:
+    """One uid's transfers in flight and its ``net:<uid>`` rail."""
+
+    __slots__ = ("transfers", "live", "rail", "owners")
+
+    def __init__(self, uid):
+        self.transfers = set()
+        #: Transfers in flight that no suspend interrupted.
+        self.live = 0
+        self.rail = "net:{}".format(uid)
+        self.owners = (uid,)
+
+
 class ConnectivityService:
     name = "connectivity"
 
@@ -42,7 +53,7 @@ class ConnectivityService:
         self.profile = profile
         self.env = env
         self.exceptions = exceptions
-        self._active = defaultdict(set)  # uid -> set of transfers
+        self._radios = {}  # uid -> _Radio
         self.request_count = 0
         self.wifi_service = None  # wired by Phone for lock accounting
         #: Optional ``restrictor(uid) -> bool``; False makes requests from
@@ -97,40 +108,37 @@ class ConnectivityService:
 
     # -- radio power -----------------------------------------------------------
 
-    def _rail_name(self, uid):
-        return "net:{}".format(uid)
-
     def _transfer_power(self):
         if self.env.network.kind == "wifi":
             return self.profile.wifi_active_mw
         return self.profile.radio_active_mw
 
     def _begin(self, transfer):
-        transfers = self._active[transfer.uid]
-        transfers.add(transfer)
-        self._refresh_rail(transfer.uid)
+        radio = self._radios.get(transfer.uid)
+        if radio is None:
+            radio = self._radios[transfer.uid] = _Radio(transfer.uid)
+        radio.transfers.add(transfer)
+        radio.live += 1
+        self._refresh_rail(radio)
 
     def _end(self, transfer):
-        transfers = self._active[transfer.uid]
-        transfers.discard(transfer)
-        self._refresh_rail(transfer.uid)
+        radio = self._radios[transfer.uid]
+        radio.transfers.discard(transfer)
+        if not transfer.interrupted:
+            radio.live -= 1
+        self._refresh_rail(radio)
 
-    def _refresh_rail(self, uid):
-        active = any(
-            not t.interrupted for t in self._active[uid]
-        )
-        power = self._transfer_power() if active else 0.0
-        self.monitor.set_rail(self._rail_name(uid), power, (uid,))
+    def _refresh_rail(self, radio):
+        power = self._transfer_power() if radio.live else 0.0
+        self.monitor.set_rail(radio.rail, power, radio.owners)
 
     def _on_suspend(self, suspended):
         if not suspended:
             return
         # The radio stops; in-flight app transfers will time out on resume.
-        for uid, transfers in self._active.items():
-            changed = False
-            for transfer in transfers:
-                if not transfer.interrupted:
+        for radio in self._radios.values():
+            if radio.live:
+                for transfer in radio.transfers:
                     transfer.interrupted = True
-                    changed = True
-            if changed:
-                self._refresh_rail(uid)
+                radio.live = 0
+                self._refresh_rail(radio)

@@ -228,16 +228,22 @@ class LocationManagerService(KernelObjectService):
         if not self.env.gps.lock_possible:
             self._lose_fix()
             return
-        self._settle_all()
+        # _settle_all without its owner refresh: the honoured set, and
+        # with it the rail's owners, only change in _activate and
+        # _deactivate, which refresh them.
+        self._settle_records()
         distance = self._current_distance()
         moved = distance - (record._last_delivery_distance or 0.0)
         record._last_delivery_distance = distance
         record.fixes_delivered += 1
         record.distance_moved += max(0.0, moved)
-        location = Location(self.sim.now, distance)
-        record.listener(location)
-        self._notify("on_location_delivered", record, location)
-        self._schedule_delivery(record)
+        record.listener(Location(self.sim.now, distance))
+        timer = record._delivery_timer
+        if timer is not None and timer.fired and not timer.cancelled:
+            # The timer that just fired is the next delivery's.
+            self.sim.reschedule(timer, record.interval)
+        else:
+            self._schedule_delivery(record)
 
     def settle_stats(self):
         """Fold elapsed time into every record's counters (profiling)."""
@@ -294,10 +300,13 @@ class LocationManagerService(KernelObjectService):
         record._seg_since = now
 
     def _settle_all(self):
+        self._settle_records()
+        self._refresh_rail_owners()
+
+    def _settle_records(self):
         self._settle_distance()
         for record in self._honoured:
             self._settle(record)
-        self._refresh_rail_owners()
 
     def _notify_fix_attempt(self, success):
         for record in self._honoured:

@@ -128,7 +128,9 @@ class KernelObjectService:
       honouring an object while the app still thinks it holds it
       (Section 4.6);
     - ``listeners``: notified of ``on_<kind>_*`` events for accounting,
-      where ``kind`` is the subclass's event stem.
+      where ``kind`` is the subclass's event stem. These are lifecycle
+      events; a delivery (a sensor reading, a location fix) is not
+      notified.
 
     App death (:meth:`kill_app`) releases and deactivates each of the
     app's records and marks it dead. A subclass supplies ``kind``, its

@@ -160,8 +160,13 @@ class SensorManagerService(KernelObjectService):
             self.sim.now, record.sensor_type, self.rng.random()
         )
         record.listener(reading)
-        self._notify("on_sensor_delivered", record, reading)
-        self._schedule_delivery(record)
+        timer = record._delivery_timer
+        if timer is not None and timer.fired and not timer.cancelled:
+            # The common case, _schedule_delivery's re-arm inline.
+            self.sim.reschedule(
+                timer, 1.0 / min(record.rate_hz, self.MAX_DELIVERY_HZ))
+        else:
+            self._schedule_delivery(record)
 
     def _settle(self, record):
         now = self.sim.now
