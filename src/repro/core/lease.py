@@ -123,12 +123,6 @@ class Lease:
             if start <= t < end and (event is None or name == event)
         ]
 
-    def recent_terms(self, count):
-        """The most recent ``count`` term records, oldest first."""
-        if count <= 0:
-            return []
-        return list(self.history)[-count:]
-
     def __repr__(self):
         return "Lease(#{}, uid={}, {}, {}, term={})".format(
             self.descriptor, self.uid, self.rtype.value, self.state.value,

@@ -15,7 +15,6 @@ from repro.core.policy import LeasePolicy
 from repro.core.stats import TermRecord, UtilityMetrics
 from repro.core.utility import combine_utility, generic_utility
 from repro.device.power import SYSTEM_UID
-from repro.io import left_sum
 
 
 class Decision:
@@ -251,34 +250,53 @@ class LeaseManager:
         exceptions = self.phone.exceptions.count_in_window(
             lease.uid, start, end
         )
-        # Smoothing (§4.3 bounded history): aggregate the current term
-        # with recent terms so rates are judged over honoured time, not a
-        # single unlucky 5 s slice. Deferral gaps never enter the window
-        # because terms only span honoured periods.
-        max_age = self.policy.utility_window_age_s
-        recent = [
-            r for r in lease.recent_terms(
-                self.policy.utility_smoothing_terms - 1)
-            if end - r.end <= max_age
-        ]
-        agg_duration = term_s + left_sum(r.duration for r in recent)
-        agg_ui = ui + sum(r.metrics.ui_updates for r in recent)
-        agg_inter = interactions + sum(r.metrics.interactions
-                                       for r in recent)
-        agg_writes = writes + sum(r.metrics.data_writes for r in recent)
-        agg_exceptions = exceptions + sum(r.metrics.exceptions
-                                          for r in recent)
-        agg_distance = stats.get("distance_moved", 0.0) + left_sum(
-            r.metrics.extras.get("distance_moved", 0.0) for r in recent
-        )
-        # FAB evidence: ask time over the last few terms.
-        fab_recent = [
-            r for r in lease.recent_terms(self.policy.fab_window_terms - 1)
-            if end - r.end <= max_age
-        ]
-        ask_window = stats.get("ask_time", 0.0) + left_sum(
-            r.metrics.ask_time for r in fab_recent
-        )
+        # Three windows of recent terms, gathered in one pass over them,
+        # oldest first; each window's totals add its terms in that
+        # order, starting from 0. Smoothing (§4.3 bounded history): the
+        # current term aggregates with recent terms so rates are judged
+        # over honoured time, not a single unlucky 5 s slice (deferral
+        # gaps never enter, because terms only span honoured periods).
+        # FAB evidence: ask time over the last few terms. Utilization:
+        # an honoured-time-weighted mean over a short, wall-clock
+        # bounded window.
+        policy = self.policy
+        max_age = policy.utility_window_age_s
+        util_age = policy.utilization_window_s
+        smooth_n = policy.utility_smoothing_terms - 1
+        fab_n = policy.fab_window_terms - 1
+        util_n = policy.utilization_smoothing_terms - 1
+        duration = recent_ui = recent_inter = recent_writes = 0
+        recent_exceptions = distance = ask = 0
+        active_time = stats.get("active_time", 0.0)
+        weighted = stats.get("utilization", 1.0) * max(active_time, 1e-9)
+        weight = max(active_time, 1e-9)
+        history = lease.history
+        for back in range(min(len(history), max(smooth_n, fab_n, util_n)),
+                          0, -1):
+            record = history[-back]
+            metrics = record.metrics
+            age = end - record.end
+            if age <= max_age:
+                if back <= smooth_n:
+                    duration += record.end - record.start
+                    recent_ui += metrics.ui_updates
+                    recent_inter += metrics.interactions
+                    recent_writes += metrics.data_writes
+                    recent_exceptions += metrics.exceptions
+                    distance += metrics.extras.get("distance_moved", 0.0)
+                if back <= fab_n:
+                    ask += metrics.ask_time
+            if back <= util_n and age <= util_age:
+                w = max(metrics.active_time, 1e-9)
+                weighted += metrics.utilization * w
+                weight += w
+        agg_duration = term_s + duration
+        agg_ui = ui + recent_ui
+        agg_inter = interactions + recent_inter
+        agg_writes = writes + recent_writes
+        agg_exceptions = exceptions + recent_exceptions
+        agg_distance = stats.get("distance_moved", 0.0) + distance
+        ask_window = stats.get("ask_time", 0.0) + ask
         generic = generic_utility(
             lease.rtype, agg_duration, ui_updates=agg_ui,
             interactions=agg_inter, exceptions=agg_exceptions,
@@ -291,26 +309,12 @@ class LeaseManager:
         if counter is not None:
             custom = counter.get_score()
         score = combine_utility(generic, custom,
-                                self.policy.custom_utility_floor)
-        # Utilization smoothing: honoured-time-weighted mean over the
-        # current term and a short (wall-clock-bounded) recent window.
-        util_terms = [
-            r for r in lease.recent_terms(
-                self.policy.utilization_smoothing_terms - 1)
-            if end - r.end <= self.policy.utilization_window_s
-        ]
-        weighted = stats.get("utilization", 1.0) * max(
-            stats.get("active_time", 0.0), 1e-9)
-        weight = max(stats.get("active_time", 0.0), 1e-9)
-        for record in util_terms:
-            w = max(record.metrics.active_time, 1e-9)
-            weighted += record.metrics.utilization * w
-            weight += w
+                                policy.custom_utility_floor)
         utilization = weighted / weight
         return UtilityMetrics(
             held=True,
             held_time=stats.get("held_time", 0.0),
-            active_time=stats.get("active_time", 0.0),
+            active_time=active_time,
             ask_time=stats.get("ask_time", 0.0),
             ask_window_time=ask_window,
             success_ratio=stats.get("success_ratio", 1.0),

@@ -66,9 +66,6 @@ def test_history_is_bounded():
     for index in range(10):
         lease.record_term(index)
     assert list(lease.history) == [6, 7, 8, 9]
-    assert lease.recent_terms(2) == [8, 9]
-    assert lease.recent_terms(100) == [6, 7, 8, 9]
-    assert lease.recent_terms(0) == []
 
 
 _STATE_STRATEGY = st.lists(
