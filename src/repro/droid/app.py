@@ -9,7 +9,14 @@ generic utility metrics consume: UI updates, user interactions and raised
 exceptions (Section 3.3).
 """
 
+from bisect import bisect_left
+
 from repro.sim.events import Timeout
+
+
+def count_in(times, start, end):
+    """How many of the sorted ``times`` lie in ``[start, end)``."""
+    return max(0, bisect_left(times, end) - bisect_left(times, start))
 
 
 class AppContext:
@@ -191,14 +198,17 @@ class App:
         """The app's core function was visibly interrupted (usability)."""
         self.disruptions.append((self.ctx.sim.now, description))
 
+    # The signal lists are appended at ``sim.now``, so they are sorted
+    # and a window count is two binary searches.
+
     def ui_updates_in(self, start, end):
-        return sum(1 for t in self.ui_update_times if start <= t < end)
+        return count_in(self.ui_update_times, start, end)
 
     def interactions_in(self, start, end):
-        return sum(1 for t in self.interaction_times if start <= t < end)
+        return count_in(self.interaction_times, start, end)
 
     def data_writes_in(self, start, end):
-        return sum(1 for t in self.data_write_times if start <= t < end)
+        return count_in(self.data_write_times, start, end)
 
     def __repr__(self):
         return "{}(uid={}, {!r})".format(type(self).__name__, self.uid, self.name)

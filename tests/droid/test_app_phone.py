@@ -1,8 +1,10 @@
 """Tests for the app framework and the Phone facade."""
 
+import random
+
 import pytest
 
-from repro.droid.app import App
+from repro.droid.app import App, count_in
 from repro.droid.display import ScreenState
 
 
@@ -135,6 +137,21 @@ def test_signal_counters_window_queries(phone):
     assert app.ui_updates_in(0.0, 5.0) == 1
     assert app.ui_updates_in(0.0, 11.0) == 2
     assert app.data_writes_in(0.0, 1.0) == 3
+
+
+def test_window_counts_match_the_linear_scan():
+    # The signal lists are sorted (appended at sim.now); counting by
+    # binary search must equal the scan it replaced, also where the
+    # window's edges fall on repeated times, outside the list, or
+    # cross (start > end counts nothing).
+    rng = random.Random(24)
+    for __ in range(300):
+        times = sorted(rng.choice((0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0))
+                       for __ in range(rng.randint(0, 12)))
+        edges = times + [-1.0, 0.25, 1.25, 4.0]
+        start, end = rng.choice(edges), rng.choice(edges)
+        assert count_in(times, start, end) == \
+            sum(1 for t in times if start <= t < end), (times, start, end)
 
 
 def test_set_utility_counter_noop_without_leaseos(phone):
