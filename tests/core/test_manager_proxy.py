@@ -233,3 +233,85 @@ def test_gc_never_touches_held_leases():
     phone.run_for(minutes=10.0)
     assert manager.gc_removed == 0
     assert len(manager.leases_for(app.uid)) == 1
+
+
+def test_collect_windows_match_the_list_windows(monkeypatch):
+    # _collect gathers its three recent-term windows in one pass. Each
+    # must hold the terms a list-based window holds -- the last n terms,
+    # those within an age -- and add them oldest first, from 0, on
+    # histories whose ages straddle and hit both age limits.
+    import random
+
+    from repro.core import manager as manager_module
+    from repro.core.stats import TermRecord, UtilityMetrics
+    from repro.io import left_sum
+
+    phone, manager = leased_phone()
+    app = phone.install(IdleHolder())
+    phone.run_for(seconds=1.0)
+    lease, = manager.leases_for(app.uid)
+    stats = {"active_time": 3.25, "utilization": 0.375, "ask_time": 0.5,
+             "distance_moved": 1.5}
+    monkeypatch.setattr(lease.proxy, "term_stats", lambda lease: dict(stats))
+    calls = []
+    real = manager_module.generic_utility
+    monkeypatch.setattr(manager_module, "generic_utility",
+                        lambda *args, **kwargs: calls.append((args, kwargs))
+                        or real(*args, **kwargs))
+    policy, now, rng = manager.policy, phone.sim.now, random.Random(5)
+
+    def window(terms, count, age):
+        return [r for r in (terms[-count:] if count > 0 else [])
+                if now - r.end <= age]
+
+    for __ in range(60):
+        ends = [now - 1.0]
+        for __ in range(rng.randint(0, 15)):
+            ends.append(ends[-1] - rng.uniform(0.0, 16.0))
+        if rng.random() < 0.5:  # terms exactly at both age limits
+            ends = sorted(ends + [now - policy.utilization_window_s,
+                                  now - policy.utility_window_age_s],
+                          reverse=True)
+        lease.history.clear()
+        for end in reversed(ends):
+            lease.history.append(TermRecord(
+                0, end - rng.uniform(0.1, 9.0), end, BehaviorType.NORMAL,
+                UtilityMetrics(
+                    active_time=rng.uniform(0.0, 5.0),
+                    utilization=rng.random(), ask_time=rng.random(),
+                    ui_updates=rng.randint(0, 3),
+                    interactions=rng.randint(0, 3),
+                    exceptions=rng.randint(0, 3),
+                    data_writes=rng.randint(0, 3),
+                    extras={"distance_moved": rng.random()})))
+        lease.term_start = now - 2.0
+        terms = list(lease.history)
+        smooth = window(terms, policy.utility_smoothing_terms - 1,
+                        policy.utility_window_age_s)
+        fab = window(terms, policy.fab_window_terms - 1,
+                     policy.utility_window_age_s)
+        util = window(terms, policy.utilization_smoothing_terms - 1,
+                      policy.utilization_window_s)
+        metrics = manager._collect(lease)
+        (__, duration), generic = calls[-1]
+        assert duration == (now - lease.term_start) + left_sum(
+            r.end - r.start for r in smooth)
+        assert generic["ui_updates"] == sum(r.metrics.ui_updates
+                                            for r in smooth)
+        assert generic["interactions"] == sum(r.metrics.interactions
+                                              for r in smooth)
+        assert generic["exceptions"] == sum(r.metrics.exceptions
+                                            for r in smooth)
+        assert generic["data_writes"] == sum(r.metrics.data_writes
+                                             for r in smooth)
+        assert generic["distance_m"] == 1.5 + left_sum(
+            r.metrics.extras["distance_moved"] for r in smooth)
+        assert metrics.ask_window_time == 0.5 + left_sum(
+            r.metrics.ask_time for r in fab)
+        weighted, weight = 0.375 * 3.25, 3.25
+        for r in util:
+            w = max(r.metrics.active_time, 1e-9)
+            weighted += r.metrics.utilization * w
+            weight += w
+        assert metrics.utilization == weighted / weight
+    assert len(calls) == 60
