@@ -110,6 +110,10 @@ def test_event_fired_while_paused_delivered_on_resume():
     def worker():
         value = yield event
         got.append((sim.now, value))
+        # The delivery came through a one-off timer; the next sleep must
+        # wake through the process's own, not re-arm that one.
+        slept = yield Timeout(1.0)
+        got.append((sim.now, slept))
 
     proc = sim.spawn(worker())
     sim.run_until(1.0)
@@ -118,8 +122,10 @@ def test_event_fired_while_paused_delivered_on_resume():
     sim.run_until(5.0)
     assert got == []
     proc.resume()
-    sim.run_until(6.0)
+    sim.run_until(5.5)
     assert got == [(5.0, "late")]
+    sim.run_until(9.0)
+    assert got == [(5.0, "late"), (6.0, None)]
 
 
 def test_kill_stops_process_and_fires_done():
