@@ -144,22 +144,18 @@ class Process:
         if type(yielded) is Timeout and self.state is _RUNNING \
                 and fired is not None and fired.callback is self._wake \
                 and fired.fired and not fired.cancelled:
-            # The common step, _wait_on's re-arm branch without its
-            # type dispatch: the timer that just woke us sleeps again.
+            # Re-arm the timer that just woke us: the deadline and
+            # sequence number a fresh one would get, no allocation. The
+            # common step, so it skips _wait_on's type dispatch.
             self._timer = self.sim.reschedule(fired, yielded.delay)
             return
-        self._wait_on(yielded, fired)
+        self._wait_on(yielded)
 
-    def _wait_on(self, yielded, fired):
+    def _wait_on(self, yielded):
         if isinstance(yielded, Timeout):
             if self.state is ProcessState.PAUSED:
                 # Paused by a callback triggered from our own last step.
                 self._frozen_remaining = yielded.delay
-            elif fired is not None and fired.callback is self._wake \
-                    and fired.fired and not fired.cancelled:
-                # Re-arm the timer that just woke us: the deadline and
-                # sequence number a fresh one would get, no allocation.
-                self._timer = self.sim.reschedule(fired, yielded.delay)
             else:
                 self._timer = self.sim.schedule(yielded.delay, self._wake)
         elif isinstance(yielded, Event):
