@@ -71,17 +71,6 @@ def test_kill_app_sessions(bt):
     assert not session.record.os_active
 
 
-def test_consumer_time_tracking(bt):
-    phone, app = bt
-    session = phone.bluetooth.start_discovery(app, app.listener)
-    phone.run_for(seconds=10.0)
-    session.set_consumer_active(False)
-    phone.run_for(seconds=10.0)
-    phone.bluetooth.settle_stats()
-    assert session.record.consumer_active_time == pytest.approx(10.0,
-                                                                abs=0.5)
-
-
 def test_leaked_discovery_judged_lhb_and_deferred():
     mitigation = LeaseOS()
     phone = make_phone(mitigation=mitigation)

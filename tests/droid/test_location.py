@@ -104,19 +104,6 @@ def test_warm_restart_relocks_quickly(loc_phone):
     assert phone.location.state is GpsState.LOCKED
 
 
-def test_consumer_activity_tracking(loc_phone):
-    phone, app = loc_phone
-    registration = phone.location.request_location_updates(
-        app, app.listener, 2.0
-    )
-    phone.run_for(seconds=20.0)
-    registration.set_consumer_active(False)
-    phone.run_for(seconds=20.0)
-    record = registration.record
-    phone.location.settle_stats()
-    assert record.consumer_active_time == pytest.approx(20.0, abs=0.5)
-
-
 def test_two_apps_share_gps_rail(phone_factory):
     phone = phone_factory(gps_quality=0.9)
     a = phone.install(LocApp(), start=False)

@@ -75,22 +75,6 @@ def test_sensor_revoke_restore(client):
     assert len(app.readings) > count
 
 
-def test_sensor_consumer_time(client):
-    phone, app = client
-    registration = phone.sensors.register_listener(
-        app, SensorType.ACCELEROMETER, app.listener
-    )
-    phone.run_for(seconds=10.0)
-    registration.set_consumer_active(False)
-    phone.run_for(seconds=10.0)
-    phone.sensors.settle_stats()
-    assert registration.record.consumer_active_time == pytest.approx(
-        10.0, abs=0.5
-    )
-
-
-# -- wifi ------------------------------------------------------------------
-
 def test_wifi_lock_power_and_release(client):
     phone, app = client
     lock = phone.wifi.new_lock(app)
