@@ -178,61 +178,27 @@ class WakelockLeaseProxy(LeaseProxy):
         }
 
 
-class LocationLeaseProxy(LeaseProxy):
-    """Proxy inside the LocationManagerService (GPS)."""
+class ListenerLeaseProxy(LeaseProxy):
+    """Proxy inside a listener service: sensors, Bluetooth and GPS.
 
-    def on_location_created(self, record):
-        self._ensure_lease(record)
+    A listener lease's utilization is its consumer's activity (§3.3):
+    the share of the term's honoured time the bound consumer was active.
+    The handlers are bound under the service's event names.
+    """
 
-    def on_location_removed(self, record):
-        self._note(record, "release")
-
-    def on_location_dead(self, record):
-        self._remove_lease(record)
+    def __init__(self, manager, service):
+        super().__init__(manager, service)
+        stem = "on_" + service.kind
+        setattr(self, stem + "_created", self._ensure_lease)
+        setattr(self, service.release_event,
+                lambda record: self._note(record, "release"))
+        setattr(self, stem + "_dead", self._remove_lease)
 
     def _current_counters(self, lease):
-        # Location segment stats (search/locked/consumer time) are only
-        # folded in on service events; force a settle at term boundaries.
+        # Consumer (and GPS search/locked) time is folded in on service
+        # events only; settle the service at term boundaries.
         self.service.settle_stats()
         return lease.record.counters()
-
-    def _derive_metrics(self, lease, delta):
-        search = delta.get("search_time", 0.0)
-        locked = delta.get("locked_time", 0.0)
-        active = delta.get("active_time", 0.0)
-        total_request = search + locked
-        success = locked / total_request if total_request > 0 else 1.0
-        consumer = delta.get("consumer_active_time", 0.0)
-        utilization = min(1.0, consumer / active) if active > 0 else 1.0
-        return {
-            "held_time": delta.get("held_time", 0.0),
-            "active_time": active,
-            "ask_time": search,
-            "success_ratio": success,
-            "utilization": utilization,
-            "distance_moved": delta.get("distance_moved", 0.0),
-            "fixes_delivered": delta.get("fixes_delivered", 0),
-        }
-
-
-class SensorLeaseProxy(LeaseProxy):
-    """Proxy inside the SensorManagerService."""
-
-    def on_sensor_created(self, record):
-        self._ensure_lease(record)
-
-    def on_sensor_unregister(self, record):
-        self._note(record, "release")
-
-    def on_sensor_dead(self, record):
-        self._remove_lease(record)
-
-    def _current_counters(self, lease):
-        self.service.settle_stats()
-        counters = lease.record.counters()
-        counters["consumer_active_time"] = lease.record.consumer_active_time
-        counters["events_delivered"] = lease.record.events_delivered
-        return counters
 
     def _derive_metrics(self, lease, delta):
         active = delta.get("active_time", 0.0)
@@ -244,8 +210,23 @@ class SensorLeaseProxy(LeaseProxy):
             "ask_time": 0.0,
             "success_ratio": 1.0,
             "utilization": utilization,
-            "events_delivered": delta.get("events_delivered", 0),
+            "delivered": delta.get("delivered", 0),
         }
+
+
+class LocationLeaseProxy(ListenerLeaseProxy):
+    """Proxy inside the LocationManagerService: GPS asks, and can fail."""
+
+    def _derive_metrics(self, lease, delta):
+        metrics = super()._derive_metrics(lease, delta)
+        search = delta.get("search_time", 0.0)
+        locked = delta.get("locked_time", 0.0)
+        total_request = search + locked
+        metrics["ask_time"] = search
+        metrics["success_ratio"] = (
+            locked / total_request if total_request > 0 else 1.0)
+        metrics["distance_moved"] = delta.get("distance_moved", 0.0)
+        return metrics
 
 
 class WifiLeaseProxy(LeaseProxy):
@@ -278,36 +259,6 @@ class WifiLeaseProxy(LeaseProxy):
             "ask_time": 0.0,
             "success_ratio": 1.0,
             "utilization": utilization,
-        }
-
-
-class BluetoothLeaseProxy(LeaseProxy):
-    """Proxy inside the BluetoothService (scan sessions / connections)."""
-
-    def on_bluetooth_created(self, record):
-        self._ensure_lease(record)
-
-    def on_bluetooth_dead(self, record):
-        self._remove_lease(record)
-
-    def _current_counters(self, lease):
-        self.service.settle_stats()
-        counters = lease.record.counters()
-        counters["consumer_active_time"] = lease.record.consumer_active_time
-        counters["results_delivered"] = lease.record.results_delivered
-        return counters
-
-    def _derive_metrics(self, lease, delta):
-        active = delta.get("active_time", 0.0)
-        consumer = delta.get("consumer_active_time", 0.0)
-        utilization = min(1.0, consumer / active) if active > 0 else 1.0
-        return {
-            "held_time": delta.get("held_time", 0.0),
-            "active_time": active,
-            "ask_time": 0.0,
-            "success_ratio": 1.0,
-            "utilization": utilization,
-            "results_delivered": delta.get("results_delivered", 0),
         }
 
 

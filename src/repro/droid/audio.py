@@ -55,8 +55,7 @@ class AudioService(KernelObjectService):
 
     def open_session(self, app, name="audio-session"):
         app.ipc("audio", "openSession")
-        record = AudioSessionRecord(self.sim, app.uid, name)
-        self.records.append(record)
+        record = self._register(AudioSessionRecord(self.sim, app.uid, name))
         self._admit(record, "on_audio_open")
         return AudioSession(self, record, app)
 

@@ -14,8 +14,9 @@ background location apps keep collecting without an explicit wakelock.
 import enum
 
 from repro.droid.resources import (
-    KernelObject,
-    KernelObjectService,
+    ListenerHandle,
+    ListenerRecord,
+    ListenerService,
     ResourceType,
 )
 
@@ -41,55 +42,39 @@ class Location:
         )
 
 
-class LocationRecord(KernelObject):
+class LocationRecord(ListenerRecord):
     """Kernel-side record of one location-updates registration."""
 
     def __init__(self, sim, uid, listener, interval):
-        super().__init__(sim, uid, ResourceType.GPS, "location-updates")
-        self.listener = listener
-        self.interval = interval
+        super().__init__(sim, uid, ResourceType.GPS, "location-updates",
+                         listener, interval)
         # GPS-specific cumulative stats
         self.search_time = 0.0  # active time spent without a fix
         self.locked_time = 0.0  # active time with a fix held
-        self.fixes_delivered = 0
         self.distance_moved = 0.0
-        # Consumer (bound Activity) lifetime for the LHB metric (§3.3).
-        self.consumer_active = True
-        self.consumer_active_time = 0.0
-        self._seg_since = None
-        self._delivery_timer = None
         self._last_delivery_distance = None
 
     def counters(self):
-        base = super().counters()
-        base.update(
+        counters = super().counters()
+        counters.update(
             search_time=self.search_time,
             locked_time=self.locked_time,
-            fixes_delivered=self.fixes_delivered,
             distance_moved=self.distance_moved,
-            consumer_active_time=self.consumer_active_time,
         )
-        return base
+        return counters
 
 
-class LocationRegistration:
+class LocationRegistration(ListenerHandle):
     """App-side descriptor for a registration."""
-
-    def __init__(self, service, record):
-        self._service = service
-        self.record = record
 
     def remove(self):
         self._service.remove_updates(self)
 
-    def set_consumer_active(self, active):
-        """Mark the bound Activity alive/dead (drives GPS utilization)."""
-        self._service.set_consumer_active(self.record, active)
 
-
-class LocationManagerService(KernelObjectService):
+class LocationManagerService(ListenerService):
     name = "location"
     kind = "location"
+    release_event = "on_location_removed"
 
     RAIL = "gps"
     #: While searching without lock possibility, retry cadence for
@@ -116,27 +101,13 @@ class LocationManagerService(KernelObjectService):
 
     def request_location_updates(self, app, listener, interval):
         app.ipc("location", "requestLocationUpdates")
-        record = LocationRecord(self.sim, app.uid, listener, interval)
-        self.records.append(record)
-        self._notify("on_location_created", record)
+        record = self._register(
+            LocationRecord(self.sim, app.uid, listener, interval))
         self._admit(record, "on_location_request")
         return LocationRegistration(self, record)
 
     def remove_updates(self, registration):
-        self._release(registration.record, "on_location_removed")
-
-    def set_consumer_active(self, record, active):
-        self._settle(record)
-        record.consumer_active = active
-
-    # -- governor ops ----------------------------------------------------------
-
-    def throttle_interval(self, record, factor):
-        """Governor op (DefDroid): lengthen a registration's interval."""
-        record.interval *= factor
-        if record._delivery_timer is not None:
-            record._delivery_timer.cancel()
-            self._schedule_delivery(record)
+        self._release(registration.record, self.release_event)
 
     # -- GPS state machine -------------------------------------------------------
 
@@ -146,8 +117,7 @@ class LocationManagerService(KernelObjectService):
         self._settle_all()
         self._mark_honoured(record, True)
         record._seg_since = self.sim.now
-        self._update_engine()
-        self._refresh_rail_owners()
+        self._refresh_rail(record)
         if self.state is GpsState.LOCKED:
             record._last_delivery_distance = self._current_distance()
             self._schedule_delivery(record)
@@ -158,9 +128,11 @@ class LocationManagerService(KernelObjectService):
         self._settle_all()
         self._mark_honoured(record, False)
         record._seg_since = None
-        if record._delivery_timer is not None:
-            record._delivery_timer.cancel()
-            record._delivery_timer = None
+        self._cancel_delivery(record)
+        self._refresh_rail(record)
+
+    def _refresh_rail(self, record):
+        """The engine and the rail's owners follow the honoured set."""
         self._update_engine()
         self._refresh_rail_owners()
 
@@ -183,7 +155,6 @@ class LocationManagerService(KernelObjectService):
             ttf = min(ttf, self.WARM_TTFF_S * (0.75 + 0.5 * self.rng.random()))
         if ttf is None:
             # No lock achievable; retry later (keeps burning search power).
-            self._notify_fix_attempt(False)
             self._fix_timer = self.sim.schedule(
                 self.SEARCH_RETRY_S, self._search_tick
             )
@@ -200,7 +171,6 @@ class LocationManagerService(KernelObjectService):
             return
         self._settle_all()
         self._set_state(GpsState.LOCKED)
-        self._notify_fix_attempt(True)
         distance = self._current_distance()
         for record in self._honoured:
             record._last_delivery_distance = distance
@@ -211,23 +181,16 @@ class LocationManagerService(KernelObjectService):
             return
         self._settle_all()
         for record in self._honoured:
-            if record._delivery_timer is not None:
-                record._delivery_timer.cancel()
-                record._delivery_timer = None
+            self._cancel_delivery(record)
         self._set_state(GpsState.SEARCHING)
         self._begin_search()
 
-    def _schedule_delivery(self, record):
-        record._delivery_timer = self.sim.schedule(
-            record.interval, lambda: self._deliver(record)
-        )
-
     def _deliver(self, record):
-        if record not in self._honoured or self.state is not GpsState.LOCKED:
-            return
+        if self.state is not GpsState.LOCKED:
+            return False
         if not self.env.gps.lock_possible:
             self._lose_fix()
-            return
+            return False
         # _settle_all without its owner refresh: the honoured set, and
         # with it the rail's owners, only change in _activate and
         # _deactivate, which refresh them.
@@ -235,21 +198,10 @@ class LocationManagerService(KernelObjectService):
         distance = self._current_distance()
         moved = distance - (record._last_delivery_distance or 0.0)
         record._last_delivery_distance = distance
-        record.fixes_delivered += 1
+        record.delivered += 1
         record.distance_moved += max(0.0, moved)
         record.listener(Location(self.sim.now, distance))
-        timer = record._delivery_timer
-        if timer is not None and timer.fired and not timer.cancelled:
-            # The timer that just fired is the next delivery's.
-            self.sim.reschedule(timer, record.interval)
-        else:
-            self._schedule_delivery(record)
-
-    def settle_stats(self):
-        """Fold elapsed time into every record's counters (profiling)."""
-        self._settle_all()
-        for record in self.records:
-            record.settle()
+        return True
 
     # -- accounting -----------------------------------------------------------
 
@@ -286,18 +238,15 @@ class LocationManagerService(KernelObjectService):
             self._distance_since = self.sim.now
 
     def _settle(self, record):
-        now = self.sim.now
-        if record._seg_since is None:
-            return
-        elapsed = now - record._seg_since
-        if elapsed > 0:
+        # The search/locked split of the honoured time, then the
+        # consumer clock.
+        since = record._seg_since
+        if since is not None and self.sim.now > since:
             if self.state is GpsState.SEARCHING:
-                record.search_time += elapsed
+                record.search_time += self.sim.now - since
             elif self.state is GpsState.LOCKED:
-                record.locked_time += elapsed
-            if record.consumer_active:
-                record.consumer_active_time += elapsed
-        record._seg_since = now
+                record.locked_time += self.sim.now - since
+        super()._settle(record)
 
     def _settle_all(self):
         self._settle_records()
@@ -307,7 +256,3 @@ class LocationManagerService(KernelObjectService):
         self._settle_distance()
         for record in self._honoured:
             self._settle(record)
-
-    def _notify_fix_attempt(self, success):
-        for record in self._honoured:
-            self._notify("on_fix_attempt", record, success)

@@ -112,9 +112,8 @@ class PowerManagerService(KernelObjectService):
 
     def new_wakelock(self, app, name, level=WakeLockLevel.PARTIAL):
         app.ipc("power", "newWakeLock")
-        record = WakeLockRecord(self.sim, app.uid, name, level)
-        self.records.append(record)
-        self._notify("on_wakelock_created", record)
+        record = self._register(
+            WakeLockRecord(self.sim, app.uid, name, level))
         return WakeLock(self, record, app)
 
     # -- kernel-side operations ------------------------------------------------
@@ -155,11 +154,6 @@ class PowerManagerService(KernelObjectService):
             r for r in self._honoured if r.level is WakeLockLevel.SCREEN_BRIGHT
         ]
         self.display.set_screen_wakelocks(screen_records)
-
-    def settle_stats(self):
-        """Fold elapsed time into every record's counters (profiling)."""
-        for record in self.records:
-            record.settle()
 
     def note_interaction(self):
         """Touches credit utilization of honoured screen locks."""

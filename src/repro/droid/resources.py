@@ -1,5 +1,5 @@
 """Resource identities: binder tokens, resource types, kernel objects
-and the services that own them."""
+and the services that own them, listener registrations among them."""
 
 import enum
 
@@ -60,6 +60,9 @@ class KernelObject:
         self.os_active = False
         self.dead = False
         self.created_at = sim.now
+        #: The owning :class:`KernelObjectService`, set when it registers
+        #: the record.
+        self.service = None
         # cumulative accounting
         self.active_time = 0.0  # seconds os_active was true
         self.held_time = 0.0  # seconds app_held was true
@@ -135,7 +138,8 @@ class KernelObjectService:
     App death (:meth:`kill_app`) releases and deactivates each of the
     app's records and marks it dead. A subclass supplies ``kind``, its
     own ``_activate`` / ``_deactivate`` (which flip records through
-    :meth:`_mark_honoured`) and its app-facing API.
+    :meth:`_mark_honoured`) and its app-facing API, which creates each
+    record through :meth:`_register`.
     """
 
     #: Stem of this service's listener events, e.g. ``"wakelock"`` for
@@ -159,7 +163,15 @@ class KernelObjectService:
     def honoured_records(self):
         return frozenset(self._honoured)
 
-    # -- the acquire/release steps every app-facing API runs ----------------
+    # -- the steps every app-facing API runs ---------------------------------
+
+    def _register(self, record):
+        """Own a new ``record``: keep it, point it at this service and
+        notify ``on_<kind>_created``. Returns the record."""
+        record.service = self
+        self.records.append(record)
+        self._notify("on_{}_created".format(self.kind), record)
+        return record
 
     def _admit(self, record, event):
         """The app acquires ``record``; honour it only if every gate
@@ -202,6 +214,11 @@ class KernelObjectService:
                 record.dead = True
                 self._notify("on_{}_dead".format(self.kind), record)
 
+    def settle_stats(self):
+        """Fold elapsed time into every record's counters (profiling)."""
+        for record in self.records:
+            record.settle()
+
     # -- internals -----------------------------------------------------------
 
     def _mark_honoured(self, record, honoured):
@@ -218,3 +235,144 @@ class KernelObjectService:
             handler = getattr(listener, method, None)
             if handler is not None:
                 handler(*args)
+
+
+class ListenerRecord(KernelObject):
+    """A listener registration: GPS, sensors and Bluetooth (Table 1).
+
+    Once registered, the OS keeps invoking ``listener`` every
+    ``interval`` seconds while it honours the record, so "holding but
+    not using" means the *consumer* of the data (the bound Activity, an
+    overlay) is gone or ignoring it. The consumer clock,
+    ``consumer_active_time``, runs while the record is honoured and its
+    consumer is active; it is the lease's utilization (§3.3).
+    """
+
+    def __init__(self, sim, uid, rtype, name, listener, interval):
+        super().__init__(sim, uid, rtype, name)
+        self.listener = listener
+        self.interval = interval
+        self.delivered = 0
+        self.consumer_active = True
+        self.consumer_active_time = 0.0
+        self._seg_since = None  # start of the unsettled honoured segment
+        self._delivery_timer = None
+
+    def counters(self):
+        counters = super().counters()
+        counters["consumer_active_time"] = self.consumer_active_time
+        counters["delivered"] = self.delivered
+        return counters
+
+
+class ListenerHandle:
+    """App-side descriptor of a :class:`ListenerRecord`."""
+
+    def __init__(self, service, record):
+        self._service = service
+        self.record = record
+
+    def set_consumer_active(self, active):
+        """Mark the bound consumer alive or gone (drives utilization)."""
+        self._service.set_consumer_active(self.record, active)
+
+
+class ListenerService(KernelObjectService):
+    """A service of :class:`ListenerRecord` registrations.
+
+    It keeps each record's consumer clock and its deliveries: honouring
+    a record arms its delivery timer, each delivery re-arms it, and
+    unhonouring cancels it. A subclass supplies ``release_event`` (the
+    notification of the app's own release), ``_deliver`` and
+    ``_refresh_rail``.
+    """
+
+    #: Notified when the app releases a record, e.g.
+    #: ``"on_sensor_unregister"``.
+    release_event = None
+
+    def set_consumer_active(self, record, active):
+        self._settle(record)
+        record.consumer_active = active
+
+    def settle_stats(self):
+        self._settle_all()
+        super().settle_stats()
+
+    # -- what a subclass supplies --------------------------------------------
+
+    def _deliver(self, record):
+        """Make one delivery to honoured ``record``; return whether to
+        keep delivering."""
+        raise NotImplementedError
+
+    def _refresh_rail(self, record):
+        """Set ``record``'s power draw after it was honoured or
+        unhonoured."""
+        raise NotImplementedError
+
+    # -- honouring -----------------------------------------------------------
+
+    def _activate(self, record):
+        if record.os_active:
+            return
+        self._mark_honoured(record, True)
+        record._seg_since = self.sim.now
+        self._refresh_rail(record)
+        self._schedule_delivery(record)
+
+    def _deactivate(self, record):
+        if not record.os_active:
+            return
+        self._settle(record)
+        self._mark_honoured(record, False)
+        record._seg_since = None
+        self._cancel_delivery(record)
+        self._refresh_rail(record)
+
+    # -- deliveries ----------------------------------------------------------
+
+    def _schedule_delivery(self, record):
+        """Arm ``record``'s next delivery, ``record.interval`` from now.
+
+        After each delivery the closure re-arms the timer that fired. If
+        the delivery cancelled or replaced that timer (the listener
+        released its record, say), it arms a fresh one; a released
+        record's stray delivery finds it unhonoured and stops.
+        """
+        sim = self.sim
+        honoured = self._honoured
+        deliver = self._deliver
+
+        def delivery():
+            if record in honoured and deliver(record):
+                timer = record._delivery_timer
+                if timer is not None and timer.fired and not timer.cancelled:
+                    sim.reschedule(timer, record.interval)
+                else:
+                    self._schedule_delivery(record)
+
+        record._delivery_timer = sim.schedule(record.interval, delivery)
+
+    def _cancel_delivery(self, record):
+        if record._delivery_timer is not None:
+            record._delivery_timer.cancel()
+            record._delivery_timer = None
+
+    # -- the consumer clock --------------------------------------------------
+
+    def _settle(self, record):
+        """Fold ``record``'s honoured time since its last settle into
+        its clocks."""
+        now = self.sim.now
+        if record._seg_since is None:
+            return
+        elapsed = now - record._seg_since
+        if elapsed > 0 and record.consumer_active:
+            record.consumer_active_time += elapsed
+        record._seg_since = now
+
+    def _settle_all(self):
+        """Settle every honoured record at this instant."""
+        for record in self._honoured:
+            self._settle(record)

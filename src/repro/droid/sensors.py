@@ -11,8 +11,9 @@ registered while producing no value for the user.
 import enum
 
 from repro.droid.resources import (
-    KernelObject,
-    KernelObjectService,
+    ListenerHandle,
+    ListenerRecord,
+    ListenerService,
     ResourceType,
 )
 
@@ -35,34 +36,23 @@ class SensorReading:
         self.value = value
 
 
-class SensorRecord(KernelObject):
-    def __init__(self, sim, uid, sensor_type, listener, rate_hz):
-        super().__init__(sim, uid, ResourceType.SENSOR, sensor_type.value)
+class SensorRecord(ListenerRecord):
+    def __init__(self, sim, uid, sensor_type, listener, rate_hz, interval):
+        super().__init__(sim, uid, ResourceType.SENSOR, sensor_type.value,
+                         listener, interval)
         self.sensor_type = sensor_type
-        self.listener = listener
         self.rate_hz = rate_hz
-        self.events_delivered = 0
-        self.consumer_active = True
-        self.consumer_active_time = 0.0
-        self._seg_since = None
-        self._delivery_timer = None
 
 
-class SensorRegistration:
-    def __init__(self, service, record):
-        self._service = service
-        self.record = record
-
+class SensorRegistration(ListenerHandle):
     def unregister(self):
         self._service.unregister_listener(self)
 
-    def set_consumer_active(self, active):
-        self._service.set_consumer_active(self.record, active)
 
-
-class SensorManagerService(KernelObjectService):
+class SensorManagerService(ListenerService):
     name = "sensors"
     kind = "sensor"
+    release_event = "on_sensor_unregister"
 
     #: Sensor events are batched; we deliver at most this often to keep the
     #: event count tractable while preserving duty-cycle power accounting.
@@ -78,101 +68,30 @@ class SensorManagerService(KernelObjectService):
 
     def register_listener(self, app, sensor_type, listener, rate_hz=5.0):
         app.ipc("sensors", "registerListener")
-        record = SensorRecord(self.sim, app.uid, sensor_type, listener, rate_hz)
-        self.records.append(record)
-        self._notify("on_sensor_created", record)
+        record = self._register(SensorRecord(
+            self.sim, app.uid, sensor_type, listener, rate_hz,
+            1.0 / min(rate_hz, self.MAX_DELIVERY_HZ)))
         self._admit(record, "on_sensor_register")
         return SensorRegistration(self, record)
 
     def unregister_listener(self, registration):
-        self._release(registration.record, "on_sensor_unregister")
+        self._release(registration.record, self.release_event)
 
-    def set_consumer_active(self, record, active):
-        self._settle(record)
-        record.consumer_active = active
-
-    # -- governor ops ------------------------------------------------------------
-
-    def throttle_rate(self, record, factor):
-        """Governor op (DefDroid): reduce delivery rate."""
-        record.rate_hz /= factor
-        self._refresh_rail(record)
-
-    def settle_stats(self):
-        """Fold elapsed time into every record's counters (profiling)."""
-        for record in self.records:
-            if record in self._honoured:
-                self._settle(record)
-            record.settle()
-
-    # -- internals -------------------------------------------------------------
-
-    def _activate(self, record):
-        if record.os_active:
-            return
-        self._mark_honoured(record, True)
-        record._seg_since = self.sim.now
-        self._refresh_rail(record)
-        self._schedule_delivery(record)
-
-    def _deactivate(self, record):
-        if not record.os_active:
-            return
-        self._settle(record)
-        self._mark_honoured(record, False)
-        record._seg_since = None
-        if record._delivery_timer is not None:
-            record._delivery_timer.cancel()
-            record._delivery_timer = None
-        self.monitor.set_rail(self._rail_name(record), 0.0, ())
-
-    def _rail_name(self, record):
-        return "sensor:{}:{}".format(record.sensor_type.value, record.token.id)
+    # -- internals -----------------------------------------------------------
 
     def _refresh_rail(self, record):
+        rail = "sensor:{}:{}".format(record.sensor_type.value, record.token.id)
         if not record.os_active:
+            self.monitor.set_rail(rail, 0.0, ())
             return
         # Power scales mildly with rate (duty cycle of the sensor hub).
         rate_scale = min(2.0, max(0.25, record.rate_hz / 5.0))
-        self.monitor.set_rail(
-            self._rail_name(record),
-            self.profile.sensor_mw * rate_scale,
-            (record.uid,),
-        )
-
-    def _schedule_delivery(self, record):
-        interval = 1.0 / min(record.rate_hz, self.MAX_DELIVERY_HZ)
-        timer = record._delivery_timer
-        if timer is not None and timer.fired and not timer.cancelled:
-            # The delivery that just fired re-arms its own timer.
-            self.sim.reschedule(timer, interval)
-        else:
-            record._delivery_timer = self.sim.schedule(
-                interval, lambda: self._deliver(record)
-            )
+        self.monitor.set_rail(rail, self.profile.sensor_mw * rate_scale,
+                              (record.uid,))
 
     def _deliver(self, record):
-        if record not in self._honoured:
-            return
         self._settle(record)
-        record.events_delivered += 1
-        reading = SensorReading(
-            self.sim.now, record.sensor_type, self.rng.random()
-        )
-        record.listener(reading)
-        timer = record._delivery_timer
-        if timer is not None and timer.fired and not timer.cancelled:
-            # The common case, _schedule_delivery's re-arm inline.
-            self.sim.reschedule(
-                timer, 1.0 / min(record.rate_hz, self.MAX_DELIVERY_HZ))
-        else:
-            self._schedule_delivery(record)
-
-    def _settle(self, record):
-        now = self.sim.now
-        if record._seg_since is None:
-            return
-        elapsed = now - record._seg_since
-        if elapsed > 0 and record.consumer_active:
-            record.consumer_active_time += elapsed
-        record._seg_since = now
+        record.delivered += 1
+        record.listener(SensorReading(
+            self.sim.now, record.sensor_type, self.rng.random()))
+        return True

@@ -60,9 +60,7 @@ class WifiService(KernelObjectService):
 
     def new_lock(self, app, name="wifilock"):
         app.ipc("wifi", "createWifiLock")
-        record = WifiLockRecord(self.sim, app.uid, name)
-        self.records.append(record)
-        self._notify("on_wifilock_created", record)
+        record = self._register(WifiLockRecord(self.sim, app.uid, name))
         return WifiLock(self, record, app)
 
     def acquire(self, record):

@@ -49,13 +49,13 @@ class BatterySaver(Mitigation):
             return True
         if record.level is WakeLockLevel.SCREEN_BRIGHT:
             return True
-        self._revoked.append((self.phone.power, record))
+        self._revoked.append(record)
         return False
 
     def _gate_generic(self, record):
         if not self.active or self._exempt(record.uid):
             return True
-        self._revoked.append((self.phone.location, record))
+        self._revoked.append(record)
         return False
 
     def _network_allowed(self, uid):
@@ -89,11 +89,11 @@ class BatterySaver(Mitigation):
             if self._exempt(record.uid):
                 continue
             power.revoke(record)
-            self._revoked.append((power, record))
+            self._revoked.append(record)
         for record in list(self.phone.location.records):
             if record.os_active and not self._exempt(record.uid):
                 self.phone.location.revoke(record)
-                self._revoked.append((self.phone.location, record))
+                self._revoked.append(record)
         if self.dim_screen:
             self.phone.display.set_dimmed(True)
         self.phone.broadcasts.publish("battery-low",
@@ -102,8 +102,8 @@ class BatterySaver(Mitigation):
     def _deactivate(self):
         self.active = False
         revoked, self._revoked = self._revoked, []
-        for service, record in revoked:
-            service.restore(record)
+        for record in revoked:
+            record.service.restore(record)
         if self.dim_screen:
             self.phone.display.set_dimmed(False)
         self.phone.jobs.flush_pending()

@@ -65,14 +65,6 @@ class DefDroid(Mitigation):
     def install(self, phone):
         self.phone = phone
         self.sim = phone.sim
-        self._services = {
-            ResourceType.WAKELOCK: phone.power,
-            ResourceType.SCREEN: phone.power,
-            ResourceType.GPS: phone.location,
-            ResourceType.SENSOR: phone.sensors,
-            ResourceType.WIFI: phone.wifi,
-            ResourceType.BLUETOOTH: phone.bluetooth,
-        }
         for service in (phone.power, phone.location, phone.sensors,
                         phone.wifi, phone.bluetooth):
             service.gates.append(self._gate)
@@ -94,12 +86,16 @@ class DefDroid(Mitigation):
             for record in service.records:
                 yield record
 
-    def _aggregate_active(self, uid, rtype):
+    def _records_of(self, key):
+        uid, rtype = key
+        return [record for record in self._all_records()
+                if record.uid == uid and record.rtype is rtype]
+
+    def _aggregate_active(self, key):
         total = 0.0
-        for record in self._all_records():
-            if record.uid == uid and record.rtype is rtype:
-                record.settle()
-                total += record.active_time
+        for record in self._records_of(key):
+            record.settle()
+            total += record.active_time
         return total
 
     def _scan(self):
@@ -114,27 +110,21 @@ class DefDroid(Mitigation):
             rule = self.rules.get(record.rtype)
             if rule is None:
                 continue
-            used = self._aggregate_active(*key) - self._markers[key]
+            used = self._aggregate_active(key) - self._markers[key]
             if used >= rule.threshold_s:
                 self._throttle(key, rule)
 
     def _throttle(self, key, rule):
-        uid, rtype = key
-        service = self._services[rtype]
-        for record in list(service.records):
-            if record.uid == uid and record.rtype is rtype \
-                    and record.os_active:
-                service.revoke(record)
+        for record in self._records_of(key):
+            if record.os_active:
+                record.service.revoke(record)
         self._throttled.add(key)
         self.throttle_events += 1
         self.sim.schedule(rule.revoke_s, lambda: self._restore(key))
 
     def _restore(self, key):
-        uid, rtype = key
         self._throttled.discard(key)
-        service = self._services[rtype]
-        for record in list(service.records):
-            if record.uid == uid and record.rtype is rtype \
-                    and not record.dead:
-                service.restore(record)
-        self._markers[key] = self._aggregate_active(uid, rtype)
+        for record in self._records_of(key):
+            if not record.dead:
+                record.service.restore(record)
+        self._markers[key] = self._aggregate_active(key)

@@ -42,7 +42,7 @@ class Doze(Mitigation):
         self.interruption_max_s = interruption_max_s
         self.state = DozeState.ACTIVE
         self.doze_entries = 0
-        self._revoked = []  # (service, record) pairs we revoked
+        self._revoked = []  # records we revoked or denied
         self._queued_alarms = []
         self._reentry_timer = None
         self._maintenance_timer = None
@@ -88,7 +88,7 @@ class Doze(Mitigation):
             return True  # Doze does not manage the screen
         if self._exempt(record.uid):
             return True
-        self._remember(self.phone.power, record)
+        self._revoked.append(record)
         return False
 
     def _gate_generic(self, record):
@@ -96,13 +96,7 @@ class Doze(Mitigation):
             return True
         if self._exempt(record.uid):
             return True
-        services = {
-            "gps": self.phone.location,
-            "sensor": self.phone.sensors,
-            "wifi": self.phone.wifi,
-            "bluetooth": self.phone.bluetooth,
-        }
-        self._remember(services[record.rtype.value], record)
+        self._revoked.append(record)
         return False
 
     def _network_allowed(self, uid):
@@ -207,9 +201,6 @@ class Doze(Mitigation):
 
     # -- revocation bookkeeping ------------------------------------------------------
 
-    def _remember(self, service, record):
-        self._revoked.append((service, record))
-
     def _revoke_background(self):
         power = self.phone.power
         for record in list(power.honoured_records()):
@@ -218,18 +209,18 @@ class Doze(Mitigation):
             if self._exempt(record.uid):
                 continue
             power.revoke(record)
-            self._remember(power, record)
+            self._revoked.append(record)
         for service in (self.phone.location, self.phone.sensors,
                         self.phone.wifi, self.phone.bluetooth):
             for record in list(service.records):
                 if record.os_active and not self._exempt(record.uid):
                     service.revoke(record)
-                    self._remember(service, record)
+                    self._revoked.append(record)
 
     def _restore_all(self):
         revoked, self._revoked = self._revoked, []
-        for service, record in revoked:
-            service.restore(record)
+        for record in revoked:
+            record.service.restore(record)
 
     def _flush_alarms(self):
         queued, self._queued_alarms = self._queued_alarms, []

@@ -3,9 +3,8 @@
 from repro.core.manager import LeaseManager
 from repro.core.proxy import (
     AudioLeaseProxy,
-    BluetoothLeaseProxy,
+    ListenerLeaseProxy,
     LocationLeaseProxy,
-    SensorLeaseProxy,
     WakelockLeaseProxy,
     WifiLeaseProxy,
 )
@@ -29,9 +28,9 @@ class LeaseOS(Mitigation):
         self.proxies = {
             "power": WakelockLeaseProxy(self.manager, phone.power),
             "location": LocationLeaseProxy(self.manager, phone.location),
-            "sensors": SensorLeaseProxy(self.manager, phone.sensors),
+            "sensors": ListenerLeaseProxy(self.manager, phone.sensors),
             "wifi": WifiLeaseProxy(self.manager, phone.wifi),
             "audio": AudioLeaseProxy(self.manager, phone.audio),
-            "bluetooth": BluetoothLeaseProxy(self.manager,
-                                             phone.bluetooth),
+            "bluetooth": ListenerLeaseProxy(self.manager,
+                                            phone.bluetooth),
         }

@@ -123,8 +123,8 @@ class TrepnSampler:
         for record in self._location_records[uid]:
             search += record.search_time
             locked += record.locked_time
-            fixes += record.fixes_delivered
-        events = sum(r.events_delivered for r in self._sensor_records[uid])
+            fixes += record.delivered
+        events = sum(r.delivered for r in self._sensor_records[uid])
         return {
             "wakelock": wakelock,
             "screen": screen,

@@ -118,19 +118,6 @@ def test_two_apps_share_gps_rail(phone_factory):
     assert pa + pb == pytest.approx(phone.profile.gps_locked_mw, rel=0.15)
 
 
-def test_throttle_interval_lengthens_deliveries(loc_phone):
-    phone, app = loc_phone
-    registration = phone.location.request_location_updates(
-        app, app.listener, 2.0
-    )
-    phone.run_for(seconds=40.0)
-    baseline = len(app.fixes)
-    phone.location.throttle_interval(registration.record, 4.0)
-    phone.run_for(seconds=40.0)
-    slowed = len(app.fixes) - baseline
-    assert slowed < baseline / 2
-
-
 def test_kill_app_registrations(loc_phone):
     phone, app = loc_phone
     registration = phone.location.request_location_updates(
