@@ -20,6 +20,8 @@ import itertools
 from heapq import heappop as _heappop, heappush as _heappush
 from time import monotonic as _monotonic
 
+_INF = float("inf")
+
 
 class SimulationError(Exception):
     """Raised for invalid uses of the simulation engine."""
@@ -345,6 +347,16 @@ class Simulator:
             raise SimulationError(
                 "cannot run backwards (now={}, until={})".format(self.now, until)
             )
+        self._dispatch(until)
+        self.now = until
+
+    def run(self):
+        """Run until the event queue is exhausted; the clock stays at the
+        last event."""
+        self._dispatch(_INF)
+
+    def _dispatch(self, until):
+        """The event loop: dispatch every event due at or before ``until``."""
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
@@ -369,36 +381,6 @@ class Simulator:
                 # Like the trace, the budget is re-read per event so a
                 # mid-run set_budget takes effect immediately; the
                 # usual cost is one attribute load and a None check.
-                budget = self._budget
-                if budget is not None:
-                    budget.charge(self)
-                trace = self._trace
-                if trace is None:
-                    timer.callback()
-                else:
-                    trace.dispatch(timer.callback)
-            self.now = until
-        finally:
-            self.dispatched += dispatched
-            self._running = False
-
-    def run(self):
-        """Run until the event queue is exhausted."""
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
-        self._running = True
-        queue = self._queue
-        pop = _heappop
-        dispatched = 0
-        try:
-            while queue:
-                deadline, __, timer = pop(queue)
-                if timer.cancelled:
-                    self._cancelled -= 1
-                    continue
-                self.now = deadline
-                timer.fired = True
-                dispatched += 1
                 budget = self._budget
                 if budget is not None:
                     budget.charge(self)
