@@ -117,7 +117,8 @@ def write_report(report, path=None, directory="results"):
 
 # -- rendering ----------------------------------------------------------------
 
-def _fmt(value, pattern="{:.2f}"):
+def fmt(value, pattern="{:.2f}"):
+    """``value`` formatted with ``pattern``, or ``-`` when it is None."""
     return pattern.format(value) if value is not None else "-"
 
 
@@ -138,16 +139,16 @@ def render(report):
         waste = block["metrics"].get("waste_reduction_pct")
         rows.append([
             name,
-            _fmt(life["mean"]),
-            _fmt(life["quantiles"]["p05"]),
-            _fmt(life["quantiles"]["p50"]),
-            _fmt(life["quantiles"]["p95"]),
-            _fmt(waste["quantiles"]["p50"]) if waste else "-",
-            "{}..{}".format(_fmt(waste["quantiles"]["p25"], "{:.1f}"),
-                            _fmt(waste["quantiles"]["p75"], "{:.1f}"))
+            fmt(life["mean"]),
+            fmt(life["quantiles"]["p05"]),
+            fmt(life["quantiles"]["p50"]),
+            fmt(life["quantiles"]["p95"]),
+            fmt(waste["quantiles"]["p50"]) if waste else "-",
+            "{}..{}".format(fmt(waste["quantiles"]["p25"], "{:.1f}"),
+                            fmt(waste["quantiles"]["p75"], "{:.1f}"))
             if waste else "-",
-            _fmt(counters.get("deferrals", 0) / devices),
-            _fmt(counters.get("disruptions", 0) / devices),
+            fmt(counters.get("deferrals", 0) / devices),
+            fmt(counters.get("disruptions", 0) / devices),
         ])
     title = ("Fleet comparison: {} devices x {} mitigations, seed {}, "
              "{} shards of <= {} devices, {:.0f} sim-min each"

@@ -31,7 +31,7 @@ import sys
 from repro.apps.buggy import scenario_families
 from repro.experiments.grid import FuncSpec, GridRunner
 from repro.fleet.population import PopulationSpec, normal_app_factory
-from repro.fleet.stats import FleetStats
+from repro.fleet.stats import FleetStats, merge_shards
 from repro.io import atomic_write
 from repro.version import code_digest
 
@@ -720,19 +720,19 @@ class FleetRunner:
         true (the graceful-degradation path), in which case missing
         shards are skipped and recorded in ``missing_shards``.
         """
-        merged = {name: FleetStats() for name in self.population.mitigations}
-        self.missing_shards = []
-        for shard_index in range(self.population.shard_count):
+        def shard_stats(shard_index):
             summary = self._load_checkpoint(shard_index)
-            if summary is None:
-                if allow_missing:
-                    self.missing_shards.append(shard_index)
-                    continue
+            if summary is not None:
+                return summary["stats"]
+            if not allow_missing:
                 raise RuntimeError(
                     "shard {} has no valid checkpoint; run run_shards() "
                     "to completion first".format(shard_index))
-            for name, data in summary["stats"].items():
-                merged[name] = merged[name].merge(FleetStats.from_dict(data))
+            return None
+
+        merged, self.missing_shards = merge_shards(
+            self.population.mitigations,
+            map(shard_stats, range(self.population.shard_count)))
         return merged
 
     def run_summary(self):

@@ -554,6 +554,26 @@ class FleetStats:
         )
 
 
+def merge_shards(mitigations, shard_stats):
+    """Fold shard summaries into one :class:`FleetStats` per mitigation.
+
+    ``shard_stats`` yields, in shard-index order, each shard's
+    ``{mitigation: FleetStats dict}`` or ``None`` for a missing shard.
+    Merging in that one order is what fixes a report's float bytes, so
+    the fleet runner and ``repro watch`` both fold through here.
+    Returns ``(merged, missing shard indices)``.
+    """
+    merged = {name: FleetStats() for name in mitigations}
+    missing = []
+    for shard_index, stats in enumerate(shard_stats):
+        if stats is None:
+            missing.append(shard_index)
+            continue
+        for name, data in stats.items():
+            merged[name] = merged[name].merge(FleetStats.from_dict(data))
+    return merged, missing
+
+
 def wilson_interval(successes, trials, z=1.96):
     """Wilson score 95% CI for a binomial rate; (0, 0, 0) on no trials."""
     if trials <= 0:

@@ -4,8 +4,8 @@ The aggregator is a pure fold over the stream directory: every
 ``shard_finished`` event carries the shard's full per-mitigation
 :class:`~repro.fleet.stats.FleetStats` payload (the same dict the
 checkpoint stores), and :func:`RunView.merged_stats` folds them **in
-shard-index order** -- the identical merge sequence
-:meth:`repro.fleet.shard.FleetRunner.merged_stats` performs, so a
+shard-index order** through :func:`repro.fleet.stats.merge_shards`,
+the fold :meth:`repro.fleet.shard.FleetRunner.merged_stats` runs, so a
 finished run's snapshot equals the canonical ``fleet_*.json`` report
 to the byte (:func:`check_report` enforces it). Unfinished shards
 contribute their latest ``shard_progress`` partial (devices done,
@@ -18,7 +18,7 @@ import json
 import os
 import time
 
-from repro.fleet.stats import FleetStats, Moments
+from repro.fleet.stats import Moments, merge_shards
 from repro.telemetry.emit import DEFAULT_TELEMETRY_ROOT
 from repro.telemetry.schema import load_stream_dir
 
@@ -116,9 +116,9 @@ class RunView:
             (max(self.finished) + 1 if self.finished else 0)
 
     def merged_stats(self):
-        """Fold finished shards' stats in shard-index order -- the
-        exact merge sequence ``FleetRunner.merged_stats`` runs, so
-        floats agree bitwise. Returns ``(merged, missing_shards)``."""
+        """Fold finished shards' stats through the fleet runner's
+        :func:`~repro.fleet.stats.merge_shards`, so floats agree bitwise.
+        Returns ``(merged, missing_shards)``."""
         if self.meta is not None:
             mitigations = self.population().mitigations
         else:
@@ -126,17 +126,9 @@ class RunView:
             if self.finished:
                 first = self.finished[min(self.finished)]
                 mitigations = tuple(sorted(first["stats"]))
-        merged = {name: FleetStats() for name in mitigations}
-        missing = []
-        for shard in range(self.shard_count()):
-            event = self.finished.get(shard)
-            if event is None:
-                missing.append(shard)
-                continue
-            for name, data in event["stats"].items():
-                merged[name] = merged[name].merge(
-                    FleetStats.from_dict(data))
-        return merged, missing
+        events = map(self.finished.get, range(self.shard_count()))
+        return merge_shards(mitigations, [
+            None if event is None else event["stats"] for event in events])
 
     def partial_totals(self):
         """In-flight totals from unfinished shards' latest snapshots:
@@ -220,13 +212,10 @@ def check_report(view, report_path):
 
 # -- rendering -----------------------------------------------------------------
 
-def _fmt(value, pattern="{:.2f}"):
-    return pattern.format(value) if value is not None else "-"
-
-
 def render_snapshot(view, directory=""):
     """The live table: run header, per-mitigation rows, supervision."""
     from repro.experiments.runner import format_table
+    from repro.fleet.report import fmt
 
     lines = []
     if view.meta is None:
@@ -264,7 +253,7 @@ def render_snapshot(view, directory=""):
         lines.append(
             "in-flight: {} device(s) done, {} device-day(s), mean "
             "energy {} mW over {} sample(s)".format(
-                devices, days, _fmt(energy.mean, "{:.1f}")
+                devices, days, fmt(energy.mean, "{:.1f}")
                 if energy.count else "-", energy.count))
 
     if any(stats.counters for stats in merged.values()):
@@ -279,8 +268,8 @@ def render_snapshot(view, directory=""):
             rows.append([
                 name,
                 str(counters.get("devices", 0)),
-                _fmt(life.moments.mean) if life else "-",
-                _fmt(power.moments.mean, "{:.1f}") if power else "-",
+                fmt(life.moments.mean) if life else "-",
+                fmt(power.moments.mean, "{:.1f}") if power else "-",
                 str(counters.get("deferrals", 0)),
                 str(counters.get("fastpath_fallbacks", 0)),
                 str(counters.get("crashed", 0)),
