@@ -8,7 +8,7 @@ function behind the callback. Bound methods resolve to their underlying
 function, so every process wake-up lands on one site,
 ``repro.sim.process.Process._advance``, instead of one per process
 instance; a closure prints where it was defined, e.g.
-``repro.droid.sensors.SensorManagerService._schedule_delivery.<locals>.<lambda>``.
+``repro.droid.resources.ListenerService._schedule_delivery.<locals>.delivery``.
 
 Usage::
 
