@@ -122,7 +122,7 @@ def test_listener_services_notify_lifecycle_events_only(phone_factory):
     closed["location"].remove()
     closed["sensors"].unregister()
     closed["bluetooth"].close()
-    phone.run_for(hours=2.0)
+    phone.run_for(hours=23.0, minutes=20.0)  # the rest of the day
     for app in apps.values():
         phone.kill_app(app.uid)
 
