@@ -149,7 +149,9 @@ class KernelObjectService:
     def __init__(self, sim):
         self.sim = sim
         self.records = []
-        self._honoured = set()  # records currently os_active
+        #: Records currently os_active, as dict keys in the order they
+        #: were honoured: never in an order of object addresses.
+        self._honoured = {}
         self.listeners = []
         self.gates = []  # callables (record) -> bool allow
         #: Monotonic count of honour/unhonour flips.
@@ -161,7 +163,8 @@ class KernelObjectService:
         return len(self._honoured)
 
     def honoured_records(self):
-        return frozenset(self._honoured)
+        """The honoured records, in the order they were honoured."""
+        return tuple(self._honoured)
 
     # -- the steps every app-facing API runs ---------------------------------
 
@@ -222,12 +225,12 @@ class KernelObjectService:
     # -- internals -----------------------------------------------------------
 
     def _mark_honoured(self, record, honoured):
-        """Flip ``record`` into or out of the honoured set."""
+        """Flip ``record`` into or out of the honoured records."""
         record.mark_active(honoured)
         if honoured:
-            self._honoured.add(record)
+            self._honoured[record] = None
         else:
-            self._honoured.discard(record)
+            self._honoured.pop(record, None)
         self.transitions += 1
 
     def _notify(self, method, *args):

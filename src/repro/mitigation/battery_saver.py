@@ -83,7 +83,7 @@ class BatterySaver(Mitigation):
         self.active = True
         self.activations += 1
         power = self.phone.power
-        for record in list(power.honoured_records()):
+        for record in power.honoured_records():
             if record.level is WakeLockLevel.SCREEN_BRIGHT:
                 continue
             if self._exempt(record.uid):

@@ -203,7 +203,7 @@ class Doze(Mitigation):
 
     def _revoke_background(self):
         power = self.phone.power
-        for record in list(power.honoured_records()):
+        for record in power.honoured_records():
             if record.level is WakeLockLevel.SCREEN_BRIGHT:
                 continue
             if self._exempt(record.uid):

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.device.profiles import PIXEL_XL
 from repro.droid.app import App
 from repro.droid.location import GpsState
+from repro.droid.phone import Phone
 
 
 class LocApp(App):
@@ -143,3 +145,22 @@ def test_signal_loss_while_locked_resumes_search(loc_phone):
     phone.run_for(seconds=30.0)
     assert phone.location.state is GpsState.LOCKED
     assert len(app.fixes) > fixes_before
+
+
+@pytest.mark.parametrize("ballast", [0, 1, 5, 13, 100])
+def test_simultaneous_fixes_reach_apps_in_registration_order(ballast):
+    # Objects allocated before the phone move the addresses of its
+    # records. The three registrations' first fixes land at one instant;
+    # they must arrive in registration order whatever the addresses
+    # (iterating the honoured records as a set gave four orders here).
+    allocated = [object() for __ in range(ballast)]
+    phone = Phone(PIXEL_XL, seed=1234, ambient=False, gps_quality=0.9)
+    arrivals = []
+    apps = [phone.install(LocApp(), start=False) for __ in range(3)]
+    for app in apps:
+        phone.location.request_location_updates(
+            app, lambda location, uid=app.uid: arrivals.append(uid), 2.0)
+    phone.run_for(seconds=60.0)
+    assert len(allocated) == ballast
+    assert arrivals[:3] == [app.uid for app in apps]
+    assert [app.uid for app in apps] == sorted(app.uid for app in apps)
