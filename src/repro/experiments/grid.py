@@ -423,7 +423,7 @@ class GridRunner:
         self.stats = RunnerStats()
         self._default_supervisor = None
 
-    def run(self, specs, labels=None, on_result=None):
+    def run(self, specs, labels=None, on_result=None, chunk=1):
         """Execute ``specs``; results come back in spec order.
 
         ``labels`` (parallel to ``specs``) names jobs for supervision
@@ -433,6 +433,14 @@ class GridRunner:
         callers can checkpoint incrementally and an interrupted run
         keeps everything that finished. Under a supervisor, quarantined
         specs yield ``None`` results and never fire ``on_result``.
+
+        ``chunk``: a batch dispatched to worker processes goes out in
+        :class:`~repro.resilience.supervisor.Chunk` s of up to ``chunk``
+        cache misses, each run by one worker attempt with one reply
+        (fewer per chunk when that would leave a worker idle). Cache
+        lookups and stores, ``on_result``, dedup and :attr:`stats` stay
+        per spec, and a failed chunk's specs are retried as single
+        jobs. An in-process batch ignores it.
         """
         specs = list(specs)
         self.stats.submitted += len(specs)
@@ -461,7 +469,8 @@ class GridRunner:
                     for index in pending[spec]:
                         on_result(index, spec, result)
 
-            fresh = self._execute(list(pending), label_for, _complete)
+            fresh = self._execute(list(pending), label_for, _complete,
+                                  chunk)
             for spec, result in fresh.items():
                 for index in pending[spec]:
                     results[index] = result
@@ -482,7 +491,7 @@ class GridRunner:
         """
         return min(self.jobs, os.cpu_count() or 1)
 
-    def _execute(self, specs, label_for, on_complete):
+    def _execute(self, specs, label_for, on_complete, chunk=1):
         """Run deduped specs; ``{spec: result}`` for the successes.
 
         ``on_complete(spec, result)`` is invoked exactly once per
@@ -504,16 +513,31 @@ class GridRunner:
             if self._default_supervisor is None:
                 self._default_supervisor = default_supervisor()
             supervisor = self._default_supervisor
-        labels = None
-        if label_for:
-            labels = [label_for.get(spec, supervisor.label_for(spec, index))
-                      for index, spec in enumerate(specs)]
-        out = supervisor.execute(
-            specs, labels=labels, workers=self.effective_jobs,
-            on_result=on_complete)
+        labels = [label_for.get(spec, supervisor.label_for(spec, index))
+                  for index, spec in enumerate(specs)]
+        workers = self.effective_jobs
+        batch, batch_labels = _chunked(
+            specs, labels, min(chunk, -(-len(specs) // workers)))
+        out = supervisor.execute(batch, labels=batch_labels,
+                                 workers=workers, on_result=on_complete)
         self.stats.executed += len(out)
         self.stats.failed += len(specs) - len(out)
         return out
+
+
+def _chunked(specs, labels, size):
+    """``specs`` and their ``labels`` grouped in order into
+    :class:`~repro.resilience.supervisor.Chunk` s of up to ``size``, as
+    the two parallel lists ``Supervisor.execute`` takes; unchanged for a
+    ``size`` of 1."""
+    if size <= 1:
+        return specs, labels
+    from repro.resilience.supervisor import Chunk
+
+    chunks = [Chunk(tuple(specs[start:start + size]),
+                    tuple(labels[start:start + size]))
+              for start in range(0, len(specs), size)]
+    return chunks, [chunk.label for chunk in chunks]
 
 
 def runner_from_args(args):

@@ -160,6 +160,13 @@ PROBE_SCAN_CAP = 20000
 #: PopulationSpec.sample_columns` call: it never holds more rows.
 PROBE_SCAN_CHUNK = 1000
 
+#: Probes one supervised worker attempt runs back to back
+#: (``GridRunner.run``'s ``chunk``): a probe's kernel day takes about
+#: 3 ms, so one round trip per probe cost about a tenth of a cold
+#: build; 120 per chunk measured slower than 30. Probe cache keys and
+#: entries do not depend on it.
+PROBE_CHUNK = 30
+
 #: Exposure variants probed for the app-free base day: screen off all
 #: day, canonical screen sessions, and sessions plus an all-day suspend
 #: veto (the baseline for :data:`BUGGY_VARIANTS`' ``bg_awake`` point).
@@ -518,10 +525,11 @@ def build_table(population, runner=None, verbose=False):
 
     The probe set comes from :func:`probe_set`, and the probes fan out
     through ``runner`` -- the same grid pool, result cache and
-    supervisor the shards use -- so a warm cache rebuilds the table
-    without sampling a device or running a kernel day, and a
-    quarantined probe simply leaves its entry missing (every device
-    needing it falls back to the kernel rather than failing the run).
+    supervisor the shards use, in :data:`PROBE_CHUNK`-probe chunks --
+    so a warm cache rebuilds the table without sampling a device or
+    running a kernel day, and a quarantined probe simply leaves its
+    entry missing (every device needing it falls back to the kernel
+    rather than failing the run).
     """
     from repro.experiments.grid import FuncSpec, GridRunner
 
@@ -540,7 +548,7 @@ def build_table(population, runner=None, verbose=False):
         print("fastpath: building transition table ({} probes, {} "
               "sim-min each)".format(len(specs), population.minutes),
               file=sys.stderr)
-    results = runner.run(specs, labels=labels)
+    results = runner.run(specs, labels=labels, chunk=PROBE_CHUNK)
     entries = {}
     for probe, result in zip(probes, results):
         if result is not None:

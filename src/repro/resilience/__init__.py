@@ -26,12 +26,14 @@ from repro.resilience.manifest import (
 )
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.supervisor import (
+    Chunk,
     Supervisor,
     SupervisorStats,
     sigterm_as_interrupt,
 )
 
 __all__ = [
+    "Chunk",
     "Supervisor",
     "SupervisorStats",
     "RetryPolicy",

@@ -30,6 +30,11 @@ Wraps every dispatched grid/fleet job in a supervised attempt loop:
   FailureManifest` with its spec, seed and full attempt history, while
   the rest of the run completes. ``fail_fast=True`` restores
   stop-on-first-quarantine semantics;
+- **chunks** -- a :class:`Chunk` of specs is one attempt: one worker
+  runs its members back to back, each under its own label and harness
+  faults, and replies once. A chunk is never retried or quarantined
+  whole: when its attempt fails in any way, its members are requeued
+  as single jobs, so a poison member is still the only job lost;
 - **runaway budgets** -- an optional :class:`~repro.sim.engine.
   RunBudget` is armed ambiently, fresh for each attempt, so a
   simulation that would spin forever aborts with kernel diagnostics
@@ -81,7 +86,7 @@ _MAX_WAIT_S = 0.2
 def _worker_loop(conn, supervisor_end, sim_budget, faults):
     """Entry point of a supervised worker process.
 
-    Runs one attempt per ``(label, attempt, spec)`` message until it
+    Runs one attempt per ``(attempt, members)`` message until it
     receives ``None``, its pipe reaches EOF, or an attempt fails: a
     failed attempt retires the worker. Ctrl-C (or the supervisor's
     SIGTERM) while idle ends it quietly.
@@ -104,24 +109,29 @@ def _worker_loop(conn, supervisor_end, sim_budget, faults):
         conn.close()
 
 
-def _attempt_in_worker(conn, sim_budget, faults, label, attempt, spec):
+def _attempt_in_worker(conn, sim_budget, faults, attempt, members):
     """One attempt in a worker; True when it succeeded.
 
-    Applies any matching harness fault first (which may never return),
-    arms a fresh ambient runaway budget, runs the spec, and ships either
-    ``("ok", result)`` or ``("error", type, message, traceback)`` back
-    through the pipe. A crash before the send is what the supervisor
-    observes as EOF + a dead process. Afterwards the job leaves the
-    process as a fresh fork would find it: the ambient budget is reset
-    and the job's cyclic garbage is collected, as process exit used to.
+    Runs the ``(label, spec)`` members back to back: before each one,
+    applies any harness fault matching its label (which may never
+    return) and arms a fresh ambient runaway budget. Ships either
+    ``("ok", results)`` or, at the first member that raises, ``("error",
+    type, message, traceback)`` back through the pipe. A crash before
+    the send is what the supervisor observes as EOF + a dead process.
+    Afterwards the attempt leaves the process as a fresh fork would find
+    it: the ambient budget is reset and the attempt's cyclic garbage is
+    collected, as process exit used to.
     """
     previous = ambient_budget()
     try:
-        if faults:
-            apply_in_worker(faults, label, attempt)
-        if sim_budget is not None:
-            set_ambient_budget(sim_budget.fresh())
-        reply = ("ok", spec.execute())
+        results = []
+        for label, spec in members:
+            if faults:
+                apply_in_worker(faults, label, attempt)
+            if sim_budget is not None:
+                set_ambient_budget(sim_budget.fresh())
+            results.append(spec.execute())
+        reply = ("ok", results)
     except BaseException as exc:  # noqa: BLE001 -- becomes the reply
         reply = ("error", type(exc).__name__, str(exc),
                  traceback.format_exc())
@@ -135,6 +145,26 @@ def _attempt_in_worker(conn, sim_budget, faults, label, attempt, spec):
         conn.send(reply)
     gc.collect()
     return reply[0] == "ok"
+
+
+@dataclass(frozen=True)
+class Chunk:
+    """Specs that one attempt runs back to back, with one reply.
+
+    ``labels`` parallels ``specs``: each member keeps the label it would
+    have as a single job, which harness faults match as the member
+    starts. Results, ``on_result`` and the stats count members; a failed
+    chunk attempt requeues every member as a single job (see
+    :meth:`Supervisor._fail`), so only single jobs are ever retried or
+    quarantined.
+    """
+
+    specs: tuple
+    labels: tuple
+
+    @property
+    def label(self):
+        return "chunk:{}+{}".format(self.labels[0], len(self.labels) - 1)
 
 
 @dataclass
@@ -151,20 +181,24 @@ class SupervisorStats:
     quarantined: int = 0
     interrupted: int = 0
     serial_fallbacks: int = 0
+    split: int = 0  # chunk attempts that failed, members requeued singly
 
 
 class _Job:
-    """Mutable dispatch state for one spec."""
+    """Mutable dispatch state for one spec or :class:`Chunk`.
 
-    __slots__ = ("spec", "label", "index", "attempt", "eligible_at",
-                 "records")
+    ``members`` is the ``(label, spec)`` pairs its attempts run: the
+    chunk's members, or the job itself.
+    """
 
-    def __init__(self, spec, label, index):
+    __slots__ = ("spec", "label", "members", "attempt", "records")
+
+    def __init__(self, spec, label):
         self.spec = spec
         self.label = label
-        self.index = index
+        self.members = tuple(zip(spec.labels, spec.specs)) \
+            if isinstance(spec, Chunk) else ((label, spec),)
         self.attempt = 0
-        self.eligible_at = 0.0
         self.records = []
 
 
@@ -288,6 +322,9 @@ class Supervisor:
         positional labels); ``on_result(spec, result)`` fires the
         moment each job completes -- cache writes and checkpoints ride
         on it, which is what makes interrupt/degrade flushes exact.
+        A :class:`Chunk` among ``specs`` stands for its members: the
+        mapping, ``on_result`` and the counts name them, never the
+        chunk.
         """
         specs = list(specs)
         if labels is None:
@@ -295,9 +332,9 @@ class Supervisor:
                       for index, spec in enumerate(specs)]
         if len(labels) != len(specs):
             raise ValueError("labels must parallel specs")
-        jobs = [_Job(spec, label, index)
-                for index, (spec, label) in enumerate(zip(specs, labels))]
-        self.stats.jobs += len(jobs)
+        jobs = [_Job(spec, label) for spec, label in zip(specs, labels)]
+        total = sum(len(job.members) for job in jobs)
+        self.stats.jobs += total
         results = {}
         with sigterm_as_interrupt():
             try:
@@ -308,7 +345,7 @@ class Supervisor:
                     self._run_serial(jobs, results, on_result)
             except KeyboardInterrupt:
                 # Only Ctrl-C/SIGTERM: a fail-fast stop is no interrupt.
-                outstanding = len(jobs) - len(results)
+                outstanding = total - len(results)
                 self.stats.interrupted += outstanding
                 print("supervisor: interrupted with {} job(s) outstanding; "
                       "completed work is flushed".format(outstanding),
@@ -318,6 +355,8 @@ class Supervisor:
 
     @staticmethod
     def label_for(spec, index):
+        if isinstance(spec, Chunk):
+            return spec.label
         token = getattr(spec, "case_key", None)
         if token is None:
             func = getattr(spec, "func", "")
@@ -418,7 +457,7 @@ class Supervisor:
     def _dispatch(self, job, idle):
         """Send the job's next attempt to an idle worker, or to a newly
         forked one when no idle worker is left; returns that worker."""
-        message = (job.label, job.attempt + 1, job.spec)
+        message = (job.attempt + 1, job.members)
         while idle:
             worker = idle.pop()
             try:
@@ -436,12 +475,19 @@ class Supervisor:
         self.stats.attempts += 1
         worker.job = job
         worker.started = time.monotonic()
-        worker.deadline = worker.started + self.job_timeout_s \
-            if self.job_timeout_s is not None else None
+        timeout_s = self._timeout_s(job)
+        worker.deadline = worker.started + timeout_s \
+            if timeout_s is not None else None
         if self.verbose:
             print("supervisor: {} attempt {} started (pid {})".format(
                 job.label, job.attempt, worker.proc.pid), file=sys.stderr)
         return worker
+
+    def _timeout_s(self, job):
+        """The attempt's deadline: ``job_timeout_s`` for each member."""
+        if self.job_timeout_s is None:
+            return None
+        return self.job_timeout_s * len(job.members)
 
     def _fork(self):
         context = self._mp_context
@@ -485,7 +531,7 @@ class Supervisor:
         job = worker.job
         elapsed = time.monotonic() - worker.started
         self._kill(worker)
-        timeout = JobTimeout(job.label, job.attempt, self.job_timeout_s,
+        timeout = JobTimeout(job.label, job.attempt, self._timeout_s(job),
                              elapsed)
         self.stats.timeouts += 1
         self._fail(job, _Failure("timeout", str(timeout)), elapsed,
@@ -548,21 +594,31 @@ class Supervisor:
             if isinstance(outcome, _Failure):
                 self._fail(job, outcome, elapsed, pending, waiting)
             else:
-                self._succeed(job, outcome[0], results, on_result)
+                self._succeed(job, outcome, results, on_result)
 
     def _attempt_serial(self, job):
-        """One in-process attempt; a ``_Failure`` or ``(result,)``."""
+        """One in-process attempt: a ``_Failure``, or the members'
+        results as a list."""
+        results = []
+        for label, spec in job.members:
+            outcome = self._run_serial_member(label, job.attempt, spec)
+            if isinstance(outcome, _Failure):
+                return outcome
+            results.append(outcome[0])
+        return results
+
+    def _run_serial_member(self, label, attempt, spec):
+        """One member of an in-process attempt; a ``_Failure`` or
+        ``(result,)``."""
         faults = self.harness_faults
-        directive = faults.directive(job.label, job.attempt) \
-            if faults else None
+        directive = faults.directive(label, attempt) if faults else None
         if directive == "crash":
             self.stats.crashes += 1
-            crash = WorkerCrash(job.label, job.attempt,
-                                "synthesised-serial")
+            crash = WorkerCrash(label, attempt, "synthesised-serial")
             return _Failure("crash", str(crash))
         if directive == "hang":
             self.stats.timeouts += 1
-            timeout = JobTimeout(job.label, job.attempt,
+            timeout = JobTimeout(label, attempt,
                                  self.job_timeout_s or float("inf"), 0.0)
             return _Failure("timeout", str(timeout))
         budget = None
@@ -573,8 +629,8 @@ class Supervisor:
         previous = set_ambient_budget(budget)
         try:
             if directive == "fail":
-                raise InjectedFault(job.label, job.attempt)
-            result = job.spec.execute()
+                raise InjectedFault(label, attempt)
+            result = spec.execute()
         except KeyboardInterrupt:
             raise
         except BaseException as exc:  # noqa: BLE001 -- becomes a record
@@ -591,16 +647,18 @@ class Supervisor:
 
     # -- shared attempt bookkeeping ----------------------------------------
 
-    def _succeed(self, job, result, results, on_result):
-        results[job.spec] = result
-        self.stats.succeeded += 1
+    def _succeed(self, job, values, results, on_result):
+        """The attempt succeeded: ``values`` parallels ``job.members``."""
         if job.attempt > 1:
             self.stats.recovered += 1
         if self.verbose and job.attempt > 1:
             print("supervisor: {} recovered on attempt {}".format(
                 job.label, job.attempt), file=sys.stderr)
-        if on_result is not None:
-            on_result(job.spec, result)
+        for (__, spec), result in zip(job.members, values):
+            results[spec] = result
+            self.stats.succeeded += 1
+            if on_result is not None:
+                on_result(spec, result)
 
     def _fail(self, job, failure, elapsed, pending, waiting):
         record = AttemptRecord(
@@ -614,6 +672,9 @@ class Supervisor:
             if failure.outcome == "budget":
                 self.telemetry.budget(job.label, job.attempt,
                                       failure.error)
+        if isinstance(job.spec, Chunk):
+            self._split(job, failure, pending)
+            return
         if job.attempt < self.retry_policy.max_attempts:
             delay = self.retry_policy.delay_s(job.label, job.attempt + 1)
             record.delay_s = round(delay, 6)
@@ -629,6 +690,18 @@ class Supervisor:
                 pending.append(job)
             return
         self._quarantine(job, failure)
+
+    def _split(self, job, failure, pending):
+        """A chunk's attempt failed: requeue each member as a single job
+        with its own attempts, so the chunk is never retried or
+        quarantined whole."""
+        self.stats.split += 1
+        if self.verbose:
+            print("supervisor: {} attempt {} {} ({}); running its {} jobs "
+                  "singly".format(job.label, job.attempt, failure.outcome,
+                                  failure.error, len(job.members)),
+                  file=sys.stderr)
+        pending.extend(_Job(spec, label) for label, spec in job.members)
 
     def _quarantine(self, job, failure):
         spec_token = job.spec.cache_token()

@@ -13,6 +13,7 @@ import pytest
 
 from repro.experiments.grid import FuncSpec, GridRunner
 from repro.resilience import (
+    Chunk,
     HarnessFaults,
     JobQuarantined,
     RetryPolicy,
@@ -493,6 +494,107 @@ def test_probe_results_do_not_depend_on_the_jobs_a_worker_ran_before():
     assert len(serial) == 12
     assert run("process", specs) == serial
     assert run("process", specs[::-1]) == serial
+
+
+@needs_processes
+def test_probe_results_do_not_depend_on_the_chunk_they_ran_in():
+    specs = _probe_specs(12)
+    serial = Supervisor(mode="serial",
+                        harness_faults=HarnessFaults()).execute(specs)
+
+    def chunked(order):
+        supervisor = Supervisor(mode="process",
+                                harness_faults=HarnessFaults())
+        results = GridRunner(jobs=1, supervisor=supervisor).run(
+            order, chunk=4)
+        assert supervisor.stats.attempts == 3
+        return dict(zip(order, results))
+
+    assert chunked(specs) == serial
+    assert chunked(specs[::-1]) == serial
+
+
+# -- chunks ------------------------------------------------------------------
+
+def _chunk(specs):
+    """One chunk of ``specs``, each under its positional job label."""
+    return Chunk(tuple(specs), tuple(Supervisor.label_for(spec, index)
+                                     for index, spec in enumerate(specs)))
+
+
+@pytest.mark.parametrize("mode", ["serial", "process"])
+def test_a_chunk_is_one_attempt_that_completes_each_member(mode):
+    if mode == "process" and not _processes_available():
+        pytest.skip("no processes")
+    supervisor = Supervisor(mode=mode, harness_faults=HarnessFaults())
+    specs = _jobs(5)
+    seen = []
+    results = supervisor.execute([_chunk(specs)],
+                                 on_result=lambda s, r: seen.append(s))
+    assert [results[spec] for spec in specs] == ["0", "1", "2", "3", "4"]
+    assert seen == specs
+    assert supervisor.stats.attempts == 1
+    assert supervisor.stats.jobs == supervisor.stats.succeeded == 5
+
+
+@pytest.mark.parametrize("mode", ["serial", "process"])
+@pytest.mark.parametrize("kind", ["fail", "crash", "hang"])
+def test_a_failed_chunk_runs_its_members_as_single_jobs(mode, kind):
+    # The fault fires as the third member starts, on every attempt: the
+    # chunk's attempt fails, each member runs singly, and the faulted
+    # one is the only job lost and the only manifest record, with its
+    # own two attempts.
+    if mode == "process" and not _processes_available():
+        pytest.skip("no processes")
+    faults = HarnessFaults.from_json('{"%s": {"job:0002:*": []}}' % kind)
+    supervisor = Supervisor(mode=mode, harness_faults=faults,
+                            job_timeout_s=0.5,
+                            retry_policy=_fast_policy(2))
+    specs = _jobs(5)
+    results = supervisor.execute([_chunk(specs)])
+    assert [results.get(spec) for spec in specs] \
+        == ["0", "1", None, "3", "4"]
+    assert supervisor.stats.split == 1
+    assert supervisor.stats.attempts == 1 + 5 + 1
+    assert supervisor.manifest.labels == ["job:0002:dumps"]
+    record = supervisor.manifest.records[0]
+    assert [a.attempt for a in record.attempts] == [1, 2]
+    assert supervisor.stats.quarantined == 1
+
+
+@needs_processes
+def test_a_chunk_crashed_on_a_first_attempt_recovers_every_member():
+    faults = HarnessFaults.from_json('{"crash": {"job:0000:*": [1]}}')
+    supervisor = Supervisor(mode="process", harness_faults=faults,
+                            retry_policy=_fast_policy(2))
+    specs = _jobs(4)
+    results = supervisor.execute([_chunk(specs)])
+    assert [results[spec] for spec in specs] == ["0", "1", "2", "3"]
+    assert supervisor.stats.crashes == 2  # the chunk, then job 0 alone
+    assert supervisor.stats.recovered == 1
+    assert not supervisor.manifest
+
+
+@needs_processes
+def test_chunks_are_cut_so_no_worker_is_left_idle(monkeypatch):
+    # Three effective workers even on a smaller host: twelve specs at
+    # up to 30 per chunk go out as three chunks of four.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    supervisor = Supervisor(mode="process", harness_faults=HarnessFaults())
+    results = GridRunner(jobs=3, supervisor=supervisor).run(_jobs(12),
+                                                            chunk=30)
+    assert results == [str(i) for i in range(12)]
+    assert supervisor.stats.attempts == 3
+
+
+@needs_processes
+def test_a_chunk_deadline_gives_each_member_the_job_timeout():
+    supervisor = Supervisor(mode="process", job_timeout_s=0.5,
+                            harness_faults=HarnessFaults())
+    specs = _pid_jobs(4, sleep_s=0.2)
+    results = supervisor.execute([_chunk(specs)])
+    assert len(results) == 4
+    assert supervisor.stats.timeouts == supervisor.stats.split == 0
 
 
 @needs_processes
