@@ -151,8 +151,7 @@ def test_signal_loss_while_locked_resumes_search(loc_phone):
 def test_simultaneous_fixes_reach_apps_in_registration_order(ballast):
     # Objects allocated before the phone move the addresses of its
     # records. The three registrations' first fixes land at one instant;
-    # they must arrive in registration order whatever the addresses
-    # (iterating the honoured records as a set gave four orders here).
+    # they must arrive in registration order whatever the addresses.
     allocated = [object() for __ in range(ballast)]
     phone = Phone(PIXEL_XL, seed=1234, ambient=False, gps_quality=0.9)
     arrivals = []
