@@ -69,8 +69,8 @@ seed-to-seed variance). Battery life uses the identical
 formula-and-clamp as the kernel (:func:`repro.sim.summary.
 battery_life_h`).
 
-Everything is deterministic: probes, and the probe set itself, are
-seeded and cached (content-addressed, through the grid
+Everything is deterministic: probes, the probe set and the assembled
+table are seeded and cached (content-addressed, through the grid
 :class:`~repro.experiments.grid.ResultCache`), the table serialises to
 canonical JSON with a sha256 fingerprint, and a replayed shard's
 ``FleetStats`` are bit-identical across shard order, kill-and-resume,
@@ -375,6 +375,10 @@ class TransitionTable:
     def __init__(self, minutes, entries=None):
         self.minutes = float(minutes)
         self.entries = dict(entries or {})
+        # The JSON build_table stored or loaded for this table, so its
+        # fingerprint encodes nothing again. A built table is final:
+        # edit a copy, ``from_json(to_json())``, never the table.
+        self._json = None
 
     @staticmethod
     def entry_key(kind, name, profile, mitigation, variant,
@@ -389,6 +393,8 @@ class TransitionTable:
                            env_json))
 
     def to_json(self):
+        if self._json is not None:
+            return self._json
         return canonical_json(
             {"schema": PROBE_SCHEMA, "minutes": self.minutes,
              "entries": self.entries})
@@ -523,19 +529,37 @@ def probe_set(population, cache):
 def build_table(population, runner=None, verbose=False):
     """Build (or cache-load) the population's transition table.
 
-    The probe set comes from :func:`probe_set`, and the probes fan out
+    A warm cache holds the assembled table as one entry: its canonical
+    JSON, keyed on the population fingerprint (and, like every cache
+    key, the code digest, so it is as fresh as the probes). A hit reads
+    that one file and loads no probe set and no probe. Otherwise the
+    probe set comes from :func:`probe_set`, and the probes fan out
     through ``runner`` -- the same grid pool, result cache and
-    supervisor the shards use, in :data:`PROBE_CHUNK`-probe chunks --
-    so a warm cache rebuilds the table without sampling a device or
-    running a kernel day, and a quarantined probe simply leaves its
-    entry missing (every device needing it falls back to the kernel
-    rather than failing the run).
+    supervisor the shards use, in :data:`PROBE_CHUNK`-probe chunks. A
+    quarantined probe simply leaves its entry missing (every device
+    needing it falls back to the kernel rather than failing the run),
+    and the table is then not stored, so the next run retries that
+    probe. A corrupt table entry is a miss.
     """
     from repro.experiments.grid import FuncSpec, GridRunner
 
     if runner is None:
         runner = GridRunner()
-    probes = probe_set(population, runner.cache)
+    cache = runner.cache
+    # A cache key, never executed, like probe_set's.
+    spec = FuncSpec.make("repro.fleet.fastpath:build_table",
+                         population=population.fingerprint())
+    text = cache.load(spec) if cache is not None else None
+    if text is not None:
+        table = TransitionTable.from_json(text)
+        table._json = text
+        if verbose:
+            print("fastpath: loaded transition table ({} entries, {} "
+                  "sim-min each) from the cache".format(
+                      len(table.entries), population.minutes),
+                  file=sys.stderr)
+        return table
+    probes = probe_set(population, cache)
     specs = [FuncSpec.make(probe_day, kind=kind, name=name,
                            profile=profile, mitigation=mitigation,
                            minutes=population.minutes, variant=variant,
@@ -553,7 +577,11 @@ def build_table(population, runner=None, verbose=False):
     for probe, result in zip(probes, results):
         if result is not None:
             entries[TransitionTable.entry_key(*probe)] = result
-    return TransitionTable(population.minutes, entries)
+    table = TransitionTable(population.minutes, entries)
+    if cache is not None and len(entries) == len(probes):
+        table._json = table.to_json()
+        cache.store(spec, table._json)
+    return table
 
 
 # -- replay: table lookups + perturbation --------------------------------------

@@ -25,7 +25,7 @@ from repro.fleet.fastpath import (
 from repro.resilience import HarnessFaults, RetryPolicy, Supervisor
 from repro.resilience.supervisor import Chunk
 
-from tests.fleet.test_probe_scan import SMALL
+from tests.fleet.test_probe_scan import SMALL, drop_table_entry, table_file
 from tests.resilience.test_supervisor import needs_processes
 
 pytestmark = needs_processes
@@ -87,6 +87,7 @@ def test_chunked_and_unchunked_cold_builds_write_the_same_bytes(
 def test_a_cache_filled_one_way_serves_the_other_without_a_probe(
         tmp_path, monkeypatch, fill, read):
     cold, __ = _build(tmp_path / "cache", fill, monkeypatch)
+    drop_table_entry(str(tmp_path / "cache"))
     warm, runner = _build(tmp_path / "cache", read, monkeypatch)
     assert runner.stats.executed == 0
     assert runner.stats.cache_hits == len(PROBES)
@@ -123,6 +124,8 @@ def test_a_poison_probe_is_the_only_entry_and_record_lost(tmp_path,
     clean_files = _files(tmp_path / "clean")
     assert victim_file in clean_files
     del clean_files[victim_file]
+    # A table missing a probe is not stored.
+    del clean_files[os.path.basename(table_file(str(tmp_path / "clean")))]
     assert _files(tmp_path / "faulted") == clean_files
 
 

@@ -1,10 +1,11 @@
-"""The probe scan and its cache.
+"""The probe scan and its cache, and the assembled table's entry.
 
 ``needed_probes`` reads ``sample_columns`` in chunks and expands each
 device class once; it must return exactly what the per-device scan it
 replaced returned, frozen below as the oracle. ``build_table`` takes
-the probe set from the grid ``ResultCache``, so a warm rebuild samples
-no device at all.
+the probe set from the grid ``ResultCache``, so a rebuild from cached
+probes samples no device at all, and it stores the assembled table as
+one entry, so a warm build reads no probe set and no probe.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ import os
 
 import pytest
 
-from repro.experiments.grid import GridRunner, ResultCache
+from repro.experiments.grid import FuncSpec, GridRunner, ResultCache
 from repro.fleet import fastpath
 from repro.fleet.fastpath import (
     BASE_VARIANTS,
@@ -27,6 +28,7 @@ from repro.fleet.fastpath import (
     probe_set,
 )
 from repro.fleet.population import PopulationSpec
+from repro.resilience import HarnessFaults, Supervisor
 from repro.scenarios.catalog import ScenarioCatalog
 
 EXAMPLE_PATH = "tests/data/scenario_catalog_example.json"
@@ -146,23 +148,43 @@ def scans(monkeypatch):
     return calls
 
 
-def _probe_set_file(cache_dir):
-    """Path of the one probe-set entry in a cache directory."""
+def _entry_files(cache_dir, func):
+    """Paths of the cache entries whose spec names ``func``."""
     paths = []
     for name in sorted(os.listdir(cache_dir)):
         path = os.path.join(cache_dir, name)
         with open(path) as handle:
             payload = json.load(handle)
-        if payload["spec"]["func"] == "repro.fleet.fastpath:needed_probes":
+        if payload["spec"]["func"] == func:
             paths.append(path)
+    return paths
+
+
+def _probe_set_file(cache_dir):
+    """Path of the one probe-set entry in a cache directory."""
+    paths = _entry_files(cache_dir, "repro.fleet.fastpath:needed_probes")
     assert len(paths) == 1, paths
     return paths[0]
+
+
+def table_file(cache_dir):
+    """Path of the one assembled-table entry in a cache directory."""
+    paths = _entry_files(cache_dir, "repro.fleet.fastpath:build_table")
+    assert len(paths) == 1, paths
+    return paths[0]
+
+
+def drop_table_entry(cache_dir):
+    """Delete the assembled table's entry, so the next build assembles
+    the table from the probe entries again."""
+    os.unlink(table_file(cache_dir))
 
 
 def test_warm_build_reads_the_probe_set_from_the_cache(tmp_path,
                                                        monkeypatch):
     cache = str(tmp_path / "cache")
     cold = build_table(SMALL, runner=GridRunner(jobs=1, cache=cache))
+    drop_table_entry(cache)
 
     def no_scan(population):
         raise AssertionError("a warm build scanned the population")
@@ -211,6 +233,7 @@ def test_corrupt_probe_set_entry_is_recomputed(tmp_path, scans):
     cold = build_table(SMALL, runner=GridRunner(jobs=1, cache=cache))
     assert len(scans) == 1
     path = _probe_set_file(cache)
+    drop_table_entry(cache)
     with open(path, "w") as handle:
         handle.write('{"spec": {"kind": "func"}, "result": [')
     rebuilt = build_table(SMALL, runner=GridRunner(jobs=1, cache=cache))
@@ -218,6 +241,85 @@ def test_corrupt_probe_set_entry_is_recomputed(tmp_path, scans):
     assert len(scans) == 2
     # The recomputed set was stored again, whole.
     assert _probe_set_file(cache) == path
+    drop_table_entry(cache)
     warm = build_table(SMALL, runner=GridRunner(jobs=1, cache=cache))
     assert warm.to_json() == cold.to_json()
     assert len(scans) == 2
+
+
+# -- the assembled table's entry -----------------------------------------------
+
+def test_warm_build_runs_no_probe_and_loads_no_probe_set(tmp_path,
+                                                         monkeypatch,
+                                                         scans):
+    cache = str(tmp_path / "cache")
+    cold = build_table(SMALL, runner=GridRunner(jobs=1, cache=cache))
+    with open(table_file(cache)) as handle:
+        assert json.load(handle)["result"] == cold.to_json()
+    loads = []
+    load = ResultCache.load
+
+    def recording(self, spec):
+        loads.append(spec.func)
+        return load(self, spec)
+
+    monkeypatch.setattr(ResultCache, "load", recording)
+    runner = GridRunner(jobs=1, cache=cache)
+    warm = build_table(SMALL, runner=runner)
+    assert loads == ["repro.fleet.fastpath:build_table"]
+    assert runner.stats.as_dict() == {
+        "submitted": 0, "executed": 0, "cache_hits": 0,
+        "cache_misses": 0, "failed": 0}
+    assert len(scans) == 1
+    assert warm.to_json() == cold.to_json()
+    assert warm.fingerprint() == cold.fingerprint()
+    assert len(warm.entries) == 54
+    # Another population is another entry.
+    other = dataclasses.replace(SMALL, seed=32)
+    assert ResultCache(cache).load(FuncSpec.make(
+        "repro.fleet.fastpath:build_table",
+        population=other.fingerprint())) is None
+
+
+def test_a_quarantined_probe_stores_no_table(tmp_path):
+    cache = str(tmp_path / "cache")
+    victim = needed_probes(SMALL)[7]
+    label = "probe:" + fastpath.TransitionTable.entry_key(*victim)
+    supervisor = Supervisor(
+        mode="serial", max_retries=0,
+        harness_faults=HarnessFaults.from_json(
+            json.dumps({"fail": {label: []}})))
+    faulted = build_table(SMALL, runner=GridRunner(
+        jobs=1, cache=cache, supervisor=supervisor))
+    assert supervisor.manifest.labels == [label]
+    assert len(faulted.entries) == 53
+    assert _entry_files(cache, "repro.fleet.fastpath:build_table") == []
+    key = fastpath.TransitionTable.entry_key(*victim)
+    assert key not in faulted.entries
+    # The next run finds every other probe cached and runs the victim.
+    runner = GridRunner(jobs=1, cache=cache)
+    retried = build_table(SMALL, runner=runner)
+    assert (runner.stats.executed, runner.stats.cache_hits) == (1, 53)
+    assert retried.entries == dict(faulted.entries,
+                                   **{key: retried.entries[key]})
+    assert table_file(cache)
+
+
+def test_corrupt_table_entry_is_discarded_and_rebuilt(tmp_path, scans):
+    cache = str(tmp_path / "cache")
+    cold = build_table(SMALL, runner=GridRunner(jobs=1, cache=cache))
+    path = table_file(cache)
+    with open(path, "rb") as handle:
+        stored = handle.read()
+    with open(path, "w") as handle:
+        handle.write('{"spec": {"kind": "func"}, "result": "{')
+    runner = GridRunner(jobs=1, cache=cache)
+    rebuilt = build_table(SMALL, runner=runner)
+    assert rebuilt.to_json() == cold.to_json()
+    # Rebuilt from the cached probe set and probes, then stored again
+    # with the same bytes.
+    assert runner.stats.cache_hits == 54
+    assert len(scans) == 1
+    assert table_file(cache) == path
+    with open(path, "rb") as handle:
+        assert handle.read() == stored

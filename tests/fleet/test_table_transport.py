@@ -22,6 +22,8 @@ from repro.fleet.report import build_report, report_json
 from repro.fleet.shard import FleetRunner, run_shard
 from repro.resilience.supervisor import Supervisor
 
+from tests.fleet.test_probe_scan import drop_table_entry
+
 POP = PopulationSpec(seed=29, devices=8, shard_size=4, minutes=1.0,
                      buggy_prevalence=0.0,
                      mitigations=("vanilla", "leaseos"))
@@ -31,7 +33,8 @@ FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 @pytest.fixture(scope="module")
 def probe_cache(tmp_path_factory):
-    """A result cache holding POP's probes and probe set, no shard."""
+    """A result cache holding POP's probes, probe set and assembled
+    table, no shard."""
     cache = str(tmp_path_factory.mktemp("probe-cache"))
     table_only = FleetRunner(POP, runner=GridRunner(jobs=1, cache=cache),
                              mode="vector", checkpoint_dir=str(
@@ -129,8 +132,9 @@ def test_two_forked_workers_match_one_in_process(probe_cache, tmp_path,
 
 
 def _double_one_probe(cache):
-    """Double one cached probe's ``system_power_mw``: a different
-    table from the same cache."""
+    """Double one cached probe's ``system_power_mw`` and drop the
+    assembled table: a different table from the same cache."""
+    drop_table_entry(cache)
     for name in sorted(os.listdir(cache)):
         path = os.path.join(cache, name)
         with open(path) as handle:
