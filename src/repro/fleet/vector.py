@@ -15,7 +15,8 @@ at once:
   materialising per-device dataclasses or fault-plan JSON.
 - **Equivalence-class resolution** -- devices are grouped by
   ``(profile, app mix, merged case env)``; each class resolves its
-  probe entries once (:class:`_ShardClasses`), precomputing every
+  probe entries once per table per process (:class:`_ShardClasses`,
+  shared by every shard the process replays), precomputing every
   per-entry constant the composition needs (baseline deltas, sorted
   awake-axis points, shared-rail lerp endpoints, lease-traffic ints).
   The resolved constants live in append-only *banks* that finalise to
@@ -53,6 +54,8 @@ accuracy anchor is the kernel: ``fastpath.cross_validate`` measures
 table-vs-kernel under its own tolerances, and ``repro fleet --mode
 vector --cross-validate N`` runs it.
 """
+
+import weakref
 
 from repro.fleet.fastpath import (
     CANONICAL,
@@ -100,6 +103,8 @@ class _Bank:
     that hold one value per :data:`RAIL_ORDER` rail (stored as a list
     of per-rail columns). Rows are interned by the caller; ``arrays``
     snapshots everything as dtype-stable numpy arrays for gathering.
+    A bank outlives its shard (:func:`_shard_classes`), so ``arrays``
+    converts only the rows added since its last snapshot.
     """
 
     def __init__(self, floats=(), ints=(), rails=()):
@@ -107,6 +112,8 @@ class _Bank:
         self.ints = {name: [] for name in ints}
         self.rails = {name: [[] for __ in RAIL_ORDER] for name in rails}
         self.size = 0
+        self._arrays = None
+        self._converted = 0
 
     def add(self, floats, ints, rails):
         for name, value in floats.items():
@@ -121,14 +128,26 @@ class _Bank:
         return self.size - 1
 
     def arrays(self, np):
+        done = self._converted
+        if self._arrays is not None and done == self.size:
+            return self._arrays
+        old = self._arrays or {}
+
+        def grown(before, col, dtype):
+            tail = np.asarray(col[done:], dtype=dtype)
+            return tail if before is None \
+                else np.concatenate((before, tail))
+
         out = {}
         for name, col in self.floats.items():
-            out[name] = np.asarray(col, dtype=np.float64)
+            out[name] = grown(old.get(name), col, np.float64)
         for name, col in self.ints.items():
-            out[name] = np.asarray(col, dtype=np.int64)
+            out[name] = grown(old.get(name), col, np.int64)
         for name, cols in self.rails.items():
-            out[name] = [np.asarray(col, dtype=np.float64)
-                         for col in cols]
+            before = old.get(name, [None] * len(cols))
+            out[name] = [grown(prev, col, np.float64)
+                         for prev, col in zip(before, cols)]
+        self._arrays, self._converted = out, self.size
         return out
 
 
@@ -143,16 +162,22 @@ class _ShardClasses:
     string-keyed dict hits however unique its full app mix is (full
     (profile, mix, env) classes are near-unique at fleet scale, so
     memoising them would cost more in tuple hashing than it saves).
+
+    A resolver holds its table weakly: :func:`_shard_classes` keeps one
+    per table, keyed by the table, for as long as the table lives.
     """
 
     def __init__(self, table, mitigations):
-        self.table = table
+        self._table = weakref.ref(table)
         self.mitigations = tuple(mitigations)
         # One context row per (profile, env): per-mitigation base row
         # ids plus app-name -> per-mitigation id *tuples*, so the hot
         # path resolves a device with two comprehensions total instead
         # of two per mitigation (:meth:`resolve_rows`).
         self._rows = {}
+        # buggy-app tuple -> merged case env, or None for a tuple
+        # holding a scenario app (the table never composes it).
+        self._envs = {}
         self.base = _Bank(
             floats=("p_idle", "p_active", "p_awake", "aw_idle",
                     "aw_active", "capacity"))
@@ -170,6 +195,10 @@ class _ShardClasses:
             floats=("sys_add", "bug"),
             ints=_BUGGY_INTS,
             rails=("sh",))
+
+    @property
+    def table(self):
+        return self._table()
 
     def _entry(self, kind, name, profile, mitigation, variant, env):
         """A live table entry, or None if it is missing or crashed."""
@@ -315,9 +344,14 @@ class _ShardClasses:
         mitigation, so the hot path is two bare-lookup comprehensions
         per device regardless of the mitigation count.
         """
-        if _scenario_guard(buggy_apps) is not None:
+        try:
+            env = self._envs[buggy_apps]
+        except KeyError:
+            env = self._envs[buggy_apps] = None \
+                if _scenario_guard(buggy_apps) is not None \
+                else case_env_json(buggy_apps)
+        if env is None:
             return None
-        env = case_env_json(buggy_apps)
         key = (profile, env)
         row = self._rows.get(key)
         if row is None:
@@ -840,6 +874,24 @@ def _compose_pure(population, columns, classes, rows, fallback):
 
 # -- shard replay --------------------------------------------------------------
 
+#: ``{table: {mitigations: _ShardClasses}}``: a process that replays
+#: many shards of one table resolves each class once. Weak, so the
+#: resolvers live as long as their table.
+_CLASSES = weakref.WeakKeyDictionary()
+
+
+def _shard_classes(table, mitigations):
+    """The resolver this process keeps for ``table`` and
+    ``mitigations``. Bank ids then depend on which shards came first,
+    but composition gathers values by id, so no number does."""
+    resolvers = _CLASSES.setdefault(table, {})
+    classes = resolvers.get(mitigations)
+    if classes is None:
+        classes = resolvers[mitigations] = _ShardClasses(table,
+                                                         mitigations)
+    return classes
+
+
 def replay_shard_vector(population, start, stop, table, telemetry=None):
     """Columnar replay of devices [start, stop); kernel fallback per
     device. Returns ``({mitigation: FleetStats}, crashes)``.
@@ -861,7 +913,7 @@ def replay_shard_vector(population, start, stop, table, telemetry=None):
     np = _numpy()
     mitigations = population.mitigations
     columns = population.sample_columns(start, stop)
-    classes = _ShardClasses(table, mitigations)
+    classes = _shard_classes(table, mitigations)
     comp = compose_shard(population, columns, classes, np=np)
     crashes, invariants = simulate_rows(population, columns, comp.fallback,
                                         comp.data, telemetry)

@@ -9,17 +9,20 @@ kernel with the guard's exact reason strings, folding the kernel's own
 device-day values.
 """
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.grid import GridRunner
-from repro.fleet import fastpath, shard
+from repro.fleet import fastpath, shard, vector
 from repro.fleet.fastpath import (
     JITTER,
+    TransitionTable,
     _device_guard,
     build_table,
+    case_env_json,
     fast_summary,
     jitter_unit,
 )
@@ -232,6 +235,72 @@ def test_any_shard_range_replays_identically(table, data):
     start = data.draw(st.integers(0, POP.devices - 1))
     stop = data.draw(st.integers(start + 1, POP.devices))
     _assert_columns_match_fast_summary(POP, table, start, stop)
+
+
+# -- classes shared across shards ----------------------------------------------
+
+def _replay_stats(population, table, shard_index):
+    """One shard's per-mitigation ``FleetStats.to_dict()``."""
+    start, stop = population.shard_range(shard_index)
+    shard._WARNED.clear()
+    stats, __ = replay_shard_vector(population, start, stop, table)
+    return {name: fold.to_dict() for name, fold in stats.items()}
+
+
+@pytest.mark.parametrize("use_numpy", [True, False],
+                         ids=["numpy", "pure-python"])
+def test_shared_classes_replay_as_a_lone_shard_would(table, monkeypatch,
+                                                     use_numpy):
+    if not use_numpy:
+        monkeypatch.setenv("REPRO_FASTPATH_NUMPY", "0")
+    elif numpy_backend() is None:
+        pytest.skip("numpy is not installed")
+    device = POP.device(0)
+    doubled_key = TransitionTable.entry_key(
+        "base", "", device.profile, "leaseos", "active",
+        case_env_json(device.buggy_apps))
+    vanilla_only = dataclasses.replace(POP, mitigations=("vanilla",))
+    shards = range(POP.shard_count)
+    assert len(shards) == 3
+
+    def fresh_runs():
+        """``{run: (population, table)}`` over fresh copies of the table
+        and of its doubled-probe twin, so every order below starts
+        from empty resolvers."""
+        plain = TransitionTable.from_json(table.to_json())
+        doubled = TransitionTable.from_json(table.to_json())
+        entry = doubled.entries[doubled_key]
+        doubled.entries[doubled_key] = dict(
+            entry, system_power_mw=2 * entry["system_power_mw"])
+        return {"plain": (POP, plain), "doubled": (POP, doubled),
+                "vanilla": (vanilla_only, plain)}
+
+    # Each shard replayed alone, with a fresh resolver.
+    runs = fresh_runs()
+    with monkeypatch.context() as patch:
+        patch.setattr(vector, "_shard_classes", _ShardClasses)
+        lone = {(run, index): _replay_stats(*runs[run], index)
+                for run in runs for index in shards}
+    # The doubled probe reaches the second table's shards, and only
+    # under its own mitigation.
+    assert lone["doubled", 0]["vanilla"] == lone["plain", 0]["vanilla"]
+    assert lone["doubled", 0]["leaseos"] != lone["plain", 0]["leaseos"]
+
+    orders = {
+        "forward": [("plain", index) for index in shards],
+        "reverse": [("plain", index) for index in reversed(shards)],
+        "interleaved": [(run, index) for index in shards
+                        for run in ("plain", "doubled", "vanilla")],
+    }
+    for name, order in orders.items():
+        runs = fresh_runs()
+        for run, index in order:
+            assert _replay_stats(*runs[run], index) == lone[run, index], \
+                (name, run, index)
+        # One resolver per table and mitigation tuple served them all.
+        resolvers = vector._CLASSES[runs["plain"][1]]
+        assert len(resolvers) == (2 if name == "interleaved" else 1)
+        assert resolvers[POP.mitigations].base.size > 0
 
 
 # -- fallback tiers ------------------------------------------------------------
