@@ -115,6 +115,11 @@ def _obj_path(obj):
 # flat dataclasses (rows). The codec round-trips those through tagged
 # dicts so a cache hit reconstructs exactly what the worker returned.
 
+#: Exact types :func:`encode_result` returns unchanged, so a list of
+#: them encodes as a plain copy.
+_JSON_SCALARS = frozenset((type(None), bool, int, float, str))
+
+
 def encode_result(value):
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -123,6 +128,8 @@ def encode_result(value):
     if isinstance(value, tuple):
         return {"__tuple__": [encode_result(v) for v in value]}
     if isinstance(value, list):
+        if _JSON_SCALARS.issuperset(map(type, value)):
+            return list(value)
         return [encode_result(v) for v in value]
     if isinstance(value, (frozenset, set)):
         items = sorted((encode_result(v) for v in value), key=repr)

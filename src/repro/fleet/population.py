@@ -381,7 +381,9 @@ class PopulationSpec:
         from_bytes = int.from_bytes
         fromkeys = dict.fromkeys
         rng = random.Random()
-        reseed = rng.seed
+        # ``Random.seed`` hands an int straight to the C seeder; calling
+        # that directly skips the wrapper's type checks, not a draw.
+        reseed = super(random.Random, rng).seed
         grb = rng.getrandbits
         uniform = rng.random
         ap_index = columns.index.append

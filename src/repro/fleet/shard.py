@@ -319,8 +319,9 @@ def fold_shard(stats, columns, normal_apps, buggy_apps, invariants=None):
     buggy_devices = sum(1 for apps in buggy_apps if apps)
     families = {}
     for apps in buggy_apps:
-        for family in scenario_families(apps):
-            families[family] = families.get(family, 0) + 1
+        if apps:
+            for family in scenario_families(apps):
+                families[family] = families.get(family, 0) + 1
     vanilla = columns["vanilla"]
     for mitigation, data in columns.items():
         sink = stats[mitigation]
@@ -501,6 +502,9 @@ class FleetRunner:
         self.quarantined_shards = []
         #: Shard indices skipped by merged_stats(allow_missing=True).
         self.missing_shards = []
+        #: Shard indices whose checkpoint this runner wrote: valid by
+        #: construction, so pending_shards() does not read them back.
+        self._written = set()
         #: Run telemetry stream (``--telemetry``): created lazily by
         #: the first ``run_shards`` call when ``telemetry_dir`` is set.
         self.telemetry_dir = telemetry_dir
@@ -562,13 +566,16 @@ class FleetRunner:
         # earlier versions wrote.
         atomic_write(self._checkpoint_path(shard_index),
                      json.dumps(payload, sort_keys=True))
+        self._written.add(shard_index)
 
     # -- execution ---------------------------------------------------------
 
     def pending_shards(self):
-        """Shard indices with no valid checkpoint, ascending."""
+        """Shard indices with no valid checkpoint, ascending. A
+        checkpoint this runner wrote is not read again."""
         return [index for index in range(self.population.shard_count)
-                if self._load_checkpoint(index) is None]
+                if index not in self._written
+                and self._load_checkpoint(index) is None]
 
     @staticmethod
     def shard_label(shard_index):
@@ -580,9 +587,9 @@ class FleetRunner:
         published (:func:`~repro.fleet.fastpath.publish_table`) on first
         use.
 
-        The probe set and the probes come through the same grid runner
-        as the shards, so a warm result cache makes this a pure load,
-        and computing the fingerprint is the run's only table encode.
+        The table comes through the same grid runner as the shards, so
+        a warm result cache makes this one read of the assembled table,
+        and the fingerprint hashes the text that read returned.
         Shard jobs carry just the fingerprint: supervised workers are
         forked by the shard dispatch, after the publish, and inherit
         the table. The checkpoint validator pins it too: a checkpoint

@@ -6,9 +6,11 @@ import os
 import pytest
 
 from repro.experiments.grid import GridRunner
+from repro.fleet import shard
 from repro.fleet.population import PopulationSpec
 from repro.fleet.report import build_report, report_json
 from repro.fleet.shard import FleetRunner, run_shard, simulate_device_day
+from repro.resilience import HarnessFaults, Supervisor
 
 #: Small-but-real population shared by the tests below (module-scoped
 #: fixtures keep the suite fast: one simulation, many assertions).
@@ -248,3 +250,38 @@ def test_shard_jobs_flow_through_grid_cache(tmp_path):
     assert warm.stats.cache_hits == POP.shard_count
     assert report_json(build_report(POP, merged_a)) == \
         report_json(build_report(POP, merged_b))
+
+
+def test_the_post_run_pending_check_reads_no_checkpoint_it_wrote(
+        tmp_path, monkeypatch):
+    population = PopulationSpec(seed=23, devices=6, shard_size=2,
+                                minutes=1.0,
+                                mitigations=("vanilla", "leaseos"))
+    quarantined = FleetRunner.shard_label(1)
+    supervisor = Supervisor(
+        mode="serial", max_retries=0,
+        harness_faults=HarnessFaults.from_json(
+            json.dumps({"fail": {quarantined: []}})))
+    runner = FleetRunner(population, runner=GridRunner(
+        jobs=1, cache=False, supervisor=supervisor),
+        checkpoint_dir=str(tmp_path / "ck"))
+    opened = []
+
+    def recording(path, *args, **kwargs):
+        opened.append(os.path.basename(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(shard, "open", recording, raising=False)
+    names = ["shard_{:06d}.json".format(index) for index in range(3)]
+    # The calls _cmd_fleet makes, in its order.
+    assert runner.run_shards() == 2
+    assert opened == names
+    assert runner.quarantined_shards == [1]
+    del opened[:]
+    assert runner.pending_shards() == [1]
+    assert opened == [names[1]]
+    del opened[:]
+    merged = runner.merged_stats(allow_missing=True)
+    assert opened == names
+    assert runner.missing_shards == [1]
+    assert merged["vanilla"].counters["devices"] == 4
