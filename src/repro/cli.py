@@ -399,6 +399,7 @@ def _cmd_fleet(args):
 def _cmd_scenarios(args):
     import hashlib
 
+    from repro.io import atomic_write
     from repro.scenarios.catalog import ScenarioCatalog, default_catalog
     from repro.scenarios.evaluate import (
         evaluate_catalog,
@@ -422,8 +423,7 @@ def _cmd_scenarios(args):
         os.makedirs("results", exist_ok=True)
         path = os.path.join("results", "scenarios_{}.json".format(
             catalog.fingerprint()[:12]))
-    with open(path, "w") as handle:
-        handle.write(payload + "\n")
+    atomic_write(path, payload + "\n")
     print("[scenario report JSON: {} (sha256 {})]".format(
         path, hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]),
         file=sys.stderr)

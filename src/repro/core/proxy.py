@@ -7,7 +7,8 @@ the manager's ``onExpire`` / ``onRenew`` callbacks by directly mutating
 the kernel objects (revoke/restore) -- never the app-side descriptors.
 
 The common logic lives in :class:`LeaseProxy`; enabling leases for a new
-resource type is a small subclass (the paper reports ~200 lines per
+resource type is a small subclass that states the seconds its resource
+was used and the events it notes (the paper reports ~200 lines per
 service; here it is comparable in spirit).
 """
 
@@ -16,20 +17,31 @@ from repro.droid.resources import ResourceType
 
 
 class LeaseProxy:
-    """Generic proxy: mapping, gating, snapshots, revoke/restore."""
+    """Generic proxy: mapping, gating, snapshots, revoke/restore.
 
-    #: Seconds of interaction credit granted per user touch when
-    #: computing screen utilization.
-    INTERACTION_CREDIT_S = 30.0
-    #: Seconds of credit per UI update while a screen lock is honoured:
-    #: a display showing live content (navigation, a match score) is
-    #: being *used* even if nobody touches it.
-    UI_UPDATE_CREDIT_S = 5.0
+    The service's lifecycle handlers are bound under its event stem
+    ``kind``: ``on_<kind>_created`` leases the new kernel object and
+    ``on_<kind>_dead`` drops its lease; each event in :attr:`noted` is
+    noted from ``on_<kind>_<event>``. A term's utilization is the used
+    share of its honoured time (§3.3): a subclass names the counter of
+    used seconds (:attr:`used_counter`) or computes them
+    (:meth:`_used_time`).
+    """
+
+    #: Events the manager is told of (Table 3 ``noteEvent``).
+    noted = ()
+    #: The counter of seconds the resource was used.
+    used_counter = None
 
     def __init__(self, manager, service):
         self.manager = manager
         self.service = service
         self._lease_by_record = {}
+        stem = "on_" + service.kind
+        setattr(self, stem + "_created", self._ensure_lease)
+        setattr(self, stem + "_dead", self._remove_lease)
+        for event in self.noted:
+            setattr(self, "{}_{}".format(stem, event), self._noter(event))
         service.listeners.append(self)
         service.gates.append(self.gate)
         manager.register_proxy(self)
@@ -65,6 +77,10 @@ class LeaseProxy:
         lease = self.lease_for(record)
         if lease is not None and not lease.dead:
             self.manager.note_event(lease.descriptor, event)
+
+    def _noter(self, event):
+        """A service event handler that notes ``event``."""
+        return lambda record, *verdict: self._note(record, event)
 
     # -- gate: interpose on acquires -----------------------------------------
 
@@ -121,24 +137,33 @@ class LeaseProxy:
         return lease.record.counters()
 
     def _derive_metrics(self, lease, delta):
-        """Subclass hook: turn counter deltas into metric ingredients."""
-        raise NotImplementedError
+        """Turn counter deltas into metric ingredients."""
+        active = delta.get("active_time", 0.0)
+        used = self._used_time(lease, delta)
+        return {
+            "held_time": delta.get("held_time", 0.0),
+            "active_time": active,
+            "ask_time": 0.0,
+            "success_ratio": 1.0,
+            "utilization": min(1.0, used / active) if active > 0 else 1.0,
+        }
+
+    def _used_time(self, lease, delta):
+        return delta.get(self.used_counter, 0.0)
 
 
 class WakelockLeaseProxy(LeaseProxy):
     """Proxy inside the PowerManagerService (wakelocks + screen locks)."""
 
-    def on_wakelock_created(self, record):
-        self._ensure_lease(record)
+    noted = ("acquire", "release")
 
-    def on_wakelock_acquire(self, record, allowed):
-        self._note(record, "acquire")
-
-    def on_wakelock_release(self, record):
-        self._note(record, "release")
-
-    def on_wakelock_dead(self, record):
-        self._remove_lease(record)
+    #: Seconds of interaction credit granted per user touch when
+    #: computing screen utilization.
+    INTERACTION_CREDIT_S = 30.0
+    #: Seconds of credit per UI update while a screen lock is honoured:
+    #: a display showing live content (navigation, a match score) is
+    #: being *used* even if nobody touches it.
+    UI_UPDATE_CREDIT_S = 5.0
 
     def _current_counters(self, lease):
         phone = self.manager.phone
@@ -152,30 +177,16 @@ class WakelockLeaseProxy(LeaseProxy):
         )
         return counters
 
-    def _derive_metrics(self, lease, delta):
-        active = delta.get("active_time", 0.0)
+    def _used_time(self, lease, delta):
         if lease.rtype is ResourceType.SCREEN:
-            credit = (
-                delta.get("interactions", 0) * self.INTERACTION_CREDIT_S
-                + delta.get("ui_updates_total", 0) * self.UI_UPDATE_CREDIT_S
-            )
-            utilization = min(1.0, credit / active) if active > 0 else 1.0
-        else:
-            policy = self.manager.policy
-            if policy.dvfs_aware and self.manager.phone.cpu.dvfs is not None:
-                # §8: energy-normalized CPU seconds (device state factor).
-                reference_mw = self.manager.phone.profile.cpu_active_mw
-                cpu = delta.get("cpu_energy_mj", 0.0) / reference_mw
-            else:
-                cpu = delta.get("cpu_time", 0.0)
-            utilization = min(1.0, cpu / active) if active > 0 else 1.0
-        return {
-            "held_time": delta.get("held_time", 0.0),
-            "active_time": active,
-            "ask_time": 0.0,
-            "success_ratio": 1.0,
-            "utilization": utilization,
-        }
+            return (delta.get("interactions", 0) * self.INTERACTION_CREDIT_S
+                    + delta.get("ui_updates_total", 0)
+                    * self.UI_UPDATE_CREDIT_S)
+        phone = self.manager.phone
+        if self.manager.policy.dvfs_aware and phone.cpu.dvfs is not None:
+            # §8: energy-normalized CPU seconds (device state factor).
+            return delta.get("cpu_energy_mj", 0.0) / phone.profile.cpu_active_mw
+        return delta.get("cpu_time", 0.0)
 
 
 class ListenerLeaseProxy(LeaseProxy):
@@ -183,16 +194,14 @@ class ListenerLeaseProxy(LeaseProxy):
 
     A listener lease's utilization is its consumer's activity (§3.3):
     the share of the term's honoured time the bound consumer was active.
-    The handlers are bound under the service's event names.
+    The app's release is noted under the service's ``release_event``.
     """
+
+    used_counter = "consumer_active_time"
 
     def __init__(self, manager, service):
         super().__init__(manager, service)
-        stem = "on_" + service.kind
-        setattr(self, stem + "_created", self._ensure_lease)
-        setattr(self, service.release_event,
-                lambda record: self._note(record, "release"))
-        setattr(self, stem + "_dead", self._remove_lease)
+        setattr(self, service.release_event, self._noter("release"))
 
     def _current_counters(self, lease):
         # Consumer (and GPS search/locked) time is folded in on service
@@ -201,17 +210,9 @@ class ListenerLeaseProxy(LeaseProxy):
         return lease.record.counters()
 
     def _derive_metrics(self, lease, delta):
-        active = delta.get("active_time", 0.0)
-        consumer = delta.get("consumer_active_time", 0.0)
-        utilization = min(1.0, consumer / active) if active > 0 else 1.0
-        return {
-            "held_time": delta.get("held_time", 0.0),
-            "active_time": active,
-            "ask_time": 0.0,
-            "success_ratio": 1.0,
-            "utilization": utilization,
-            "delivered": delta.get("delivered", 0),
-        }
+        metrics = super()._derive_metrics(lease, delta)
+        metrics["delivered"] = delta.get("delivered", 0)
+        return metrics
 
 
 class LocationLeaseProxy(ListenerLeaseProxy):
@@ -232,46 +233,22 @@ class LocationLeaseProxy(ListenerLeaseProxy):
 class WifiLeaseProxy(LeaseProxy):
     """Proxy inside the WifiService (high-perf locks)."""
 
-    def on_wifilock_created(self, record):
-        self._ensure_lease(record)
-
-    def on_wifilock_acquire(self, record, allowed):
-        self._note(record, "acquire")
-
-    def on_wifilock_release(self, record):
-        self._note(record, "release")
-
-    def on_wifilock_dead(self, record):
-        self._remove_lease(record)
+    noted = ("acquire", "release")
+    used_counter = "transfer_time"
 
     def _current_counters(self, lease):
         counters = lease.record.counters()
         counters["transfer_time"] = lease.record.transfer_time
         return counters
 
-    def _derive_metrics(self, lease, delta):
-        active = delta.get("active_time", 0.0)
-        transfer = delta.get("transfer_time", 0.0)
-        utilization = min(1.0, transfer / active) if active > 0 else 1.0
-        return {
-            "held_time": delta.get("held_time", 0.0),
-            "active_time": active,
-            "ask_time": 0.0,
-            "success_ratio": 1.0,
-            "utilization": utilization,
-        }
-
 
 class AudioLeaseProxy(LeaseProxy):
-    """Proxy inside the AudioService (sessions)."""
+    """Proxy inside the AudioService (sessions): closing a session ends
+    it, so its lease goes too."""
 
-    def on_audio_open(self, record, allowed):
-        self._ensure_lease(record)
+    used_counter = "playback_time"
 
     def on_audio_close(self, record):
-        self._remove_lease(record)
-
-    def on_audio_dead(self, record):
         self._remove_lease(record)
 
     def _current_counters(self, lease):
@@ -280,15 +257,3 @@ class AudioLeaseProxy(LeaseProxy):
         counters = record.counters()
         counters["playback_time"] = record.playback_time
         return counters
-
-    def _derive_metrics(self, lease, delta):
-        active = delta.get("active_time", 0.0)
-        playback = delta.get("playback_time", 0.0)
-        utilization = min(1.0, playback / active) if active > 0 else 1.0
-        return {
-            "held_time": delta.get("held_time", 0.0),
-            "active_time": active,
-            "ask_time": 0.0,
-            "success_ratio": 1.0,
-            "utilization": utilization,
-        }

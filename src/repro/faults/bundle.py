@@ -18,6 +18,7 @@ import os
 
 from contextlib import contextmanager
 
+from repro.io import atomic_write
 from repro.resilience.hooks import ENV_VAR as FAULTS_ENV_VAR
 
 
@@ -48,8 +49,7 @@ def write_bundle(directory, kwargs, result):
         kwargs.get("seed", 0), token)
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, name)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True))
     return path
 
 

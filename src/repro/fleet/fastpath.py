@@ -502,51 +502,27 @@ def needed_probes(population):
     return sorted(probes)
 
 
-def probe_set(population, cache):
-    """:func:`needed_probes`, memoised in a grid ``ResultCache``.
-
-    Keyed on the population fingerprint (and, like every cache key, the
-    code digest, which covers the scan and its cap), so a warm re-run
-    samples no device for its probe set. A miss -- or a corrupt entry,
-    which ``ResultCache.load`` discards -- scans in this process: no
-    grid job, no fork. ``cache=None`` scans every time.
-    """
-    from repro.experiments.grid import FuncSpec
-
-    if cache is None:
-        return needed_probes(population)
-    # A cache key, never executed: named by path so a wrapped or
-    # patched needed_probes keys the same entry.
-    spec = FuncSpec.make("repro.fleet.fastpath:needed_probes",
-                         population=population.fingerprint())
-    probes = cache.load(spec)
-    if probes is None:
-        probes = needed_probes(population)
-        cache.store(spec, probes)
-    return probes
-
-
 def build_table(population, runner=None, verbose=False):
     """Build (or cache-load) the population's transition table.
 
     A warm cache holds the assembled table as one entry: its canonical
     JSON, keyed on the population fingerprint (and, like every cache
     key, the code digest, so it is as fresh as the probes). A hit reads
-    that one file and loads no probe set and no probe. Otherwise the
-    probe set comes from :func:`probe_set`, and the probes fan out
-    through ``runner`` -- the same grid pool, result cache and
-    supervisor the shards use, in :data:`PROBE_CHUNK`-probe chunks. A
-    quarantined probe simply leaves its entry missing (every device
-    needing it falls back to the kernel rather than failing the run),
-    and the table is then not stored, so the next run retries that
-    probe. A corrupt table entry is a miss.
+    that one file and runs no scan and no probe. Otherwise
+    :func:`needed_probes` scans the population in this process, and the
+    probes fan out through ``runner`` -- the same grid pool, result
+    cache and supervisor the shards use, in :data:`PROBE_CHUNK`-probe
+    chunks. A quarantined probe simply leaves its entry missing (every
+    device needing it falls back to the kernel rather than failing the
+    run), and the table is then not stored, so the next run retries
+    that probe. A corrupt table entry is a miss.
     """
     from repro.experiments.grid import FuncSpec, GridRunner
 
     if runner is None:
         runner = GridRunner()
     cache = runner.cache
-    # A cache key, never executed, like probe_set's.
+    # A cache key, never executed.
     spec = FuncSpec.make("repro.fleet.fastpath:build_table",
                          population=population.fingerprint())
     text = cache.load(spec) if cache is not None else None
@@ -559,7 +535,7 @@ def build_table(population, runner=None, verbose=False):
                       len(table.entries), population.minutes),
                   file=sys.stderr)
         return table
-    probes = probe_set(population, cache)
+    probes = needed_probes(population)
     specs = [FuncSpec.make(probe_day, kind=kind, name=name,
                            profile=profile, mitigation=mitigation,
                            minutes=population.minutes, variant=variant,

@@ -18,7 +18,7 @@ import json
 import os
 
 from repro.fleet.stats import wilson_interval
-from repro.io import canonical_json
+from repro.io import atomic_write, canonical_json
 from repro.version import __version__
 
 #: Quantiles reported for every distribution metric.
@@ -109,9 +109,7 @@ def write_report(report, path=None, directory="results"):
             json.dumps(report["population"]))
         path = default_report_path(population, directory)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as handle:
-        handle.write(report_json(report))
-        handle.write("\n")
+    atomic_write(path, report_json(report) + "\n")
     return path
 
 

@@ -367,10 +367,10 @@ def run_shard(population_json, start, stop, mode="kernel", table=""):
     (:func:`~repro.fleet.fastpath.publish_table`; a forked worker
     inherits its parent's), else this raises :class:`LookupError`
     naming the fingerprint. The summary's ``"table"`` is that
-    fingerprint. The extra kwargs also mean table-replayed shard
-    results can never collide with kernel ones in the grid's
+    fingerprint. The mode and table kwargs also mean table-replayed
+    shard results can never collide with kernel ones in the grid's
     content-addressed cache, nor with another table's: a kernel
-    dispatch omits them entirely.
+    dispatch passes ``table=""``.
     """
     if mode not in ("kernel", "vector"):
         raise ValueError("unknown shard mode {!r}".format(mode))
@@ -618,7 +618,7 @@ class FleetRunner:
         their indices land in ``quarantined_shards``. Returns the number
         of shards executed.
         """
-        table = self._ensure_table() if self.mode == "vector" else None
+        table = self._ensure_table() if self.mode == "vector" else ""
         pending = self.pending_shards()
         resumed = self.population.shard_count - len(pending)
         self.shards_resumed += resumed
@@ -636,18 +636,12 @@ class FleetRunner:
         specs, labels = [], []
         for shard_index in pending:
             start, stop = self.population.shard_range(shard_index)
-            if self.mode == "vector":
-                # The extra kwargs separate table-replayed shard results
-                # from kernel ones, and one table's from another's, in
-                # the grid cache; a kernel dispatch omits them so its
-                # cache keys never change.
-                specs.append(FuncSpec.make(
-                    run_shard, population_json=population_json,
-                    start=start, stop=stop, mode=self.mode, table=table))
-            else:
-                specs.append(FuncSpec.make(
-                    run_shard, population_json=population_json,
-                    start=start, stop=stop))
+            # The mode and table separate table-replayed shard results
+            # from kernel ones, and one table's from another's, in the
+            # grid cache.
+            specs.append(FuncSpec.make(
+                run_shard, population_json=population_json, start=start,
+                stop=stop, mode=self.mode, table=table))
             labels.append(self.shard_label(shard_index))
         executed = [0]
 

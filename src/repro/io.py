@@ -6,9 +6,13 @@ repo is computed over :func:`canonical_json` text, so that byte format
 is decided here and nowhere else. Every float total that can reach
 those bytes is added by :func:`left_sum`, so they are the same on every
 Python version. :func:`atomic_write` is the one tmp+rename publish
-behind the grid result cache, the fleet shard checkpoints and the lease
-journal's snapshots and compaction: a reader, or a process killed
-mid-write, never sees a torn file.
+behind the grid result cache, the fleet shard checkpoints, the lease
+journal's snapshots and compaction, and the reports: the fleet report
+(``repro.fleet.report.write_report``), the scenario report of ``repro
+scenarios``, the failure manifest (``FailureManifest.write``) and the
+chaos repro bundles (``repro.faults.bundle.write_bundle``). A reader,
+or a process killed mid-write, never sees a torn file, and a write that
+fails keeps the previous file.
 """
 
 import json

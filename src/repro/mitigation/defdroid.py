@@ -65,12 +65,11 @@ class DefDroid(Mitigation):
     def install(self, phone):
         self.phone = phone
         self.sim = phone.sim
-        for service in (phone.power, phone.location, phone.sensors,
-                        phone.wifi, phone.bluetooth):
+        self._services = (phone.power, phone.location, phone.sensors,
+                          phone.wifi, phone.bluetooth)
+        for service in self._services:
             service.gates.append(self._gate)
-        self._guard = QuiescenceGuard(
-            (phone.power, phone.location, phone.sensors, phone.wifi,
-             phone.bluetooth))
+        self._guard = QuiescenceGuard(self._services)
         self.sim.every(self.SCAN_INTERVAL_S, self._scan)
 
     def _gate(self, record):
@@ -80,11 +79,8 @@ class DefDroid(Mitigation):
     # -- internals ----------------------------------------------------------
 
     def _all_records(self):
-        for service in (self.phone.power, self.phone.location,
-                        self.phone.sensors, self.phone.wifi,
-                        self.phone.bluetooth):
-            for record in service.records:
-                yield record
+        for service in self._services:
+            yield from service.records
 
     def _records_of(self, key):
         uid, rtype = key

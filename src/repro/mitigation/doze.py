@@ -14,8 +14,7 @@ screen wakelocks (Table 5: ConnectBot-screen 0.57%).
 import enum
 import random
 
-from repro.droid.power_manager import WakeLockLevel
-from repro.mitigation.base import Mitigation
+from repro.mitigation.base import BackgroundRestriction
 
 
 class DozeState(enum.Enum):
@@ -24,15 +23,17 @@ class DozeState(enum.Enum):
     MAINTENANCE = "maintenance"
 
 
-class Doze(Mitigation):
+class Doze(BackgroundRestriction):
     """System-wide background deferral with maintenance windows."""
 
     name = "doze"
+    governed = ("location", "sensors", "wifi", "bluetooth")
 
     def __init__(self, aggressive=False, idle_threshold_s=1800.0,
                  reentry_delay_s=60.0, maintenance_interval_s=900.0,
                  maintenance_window_s=30.0, interruption_min_s=10.0,
                  interruption_max_s=30.0):
+        super().__init__()
         self.aggressive = aggressive
         self.idle_threshold_s = idle_threshold_s
         self.reentry_delay_s = reentry_delay_s
@@ -42,82 +43,32 @@ class Doze(Mitigation):
         self.interruption_max_s = interruption_max_s
         self.state = DozeState.ACTIVE
         self.doze_entries = 0
-        self._revoked = []  # records we revoked or denied
         self._queued_alarms = []
-        self._reentry_timer = None
         self._maintenance_timer = None
 
     # -- installation ---------------------------------------------------------
 
     def install(self, phone):
-        self.phone = phone
-        self.sim = phone.sim
+        super().install(phone)
         self._rng = random.Random(20190413)
         self._last_activity = self.sim.now
         phone.user_activity_listeners.append(self._on_user_activity)
         phone.ambient_listeners.append(self._on_ambient_event)
         phone.alarms.policy = self
-        phone.jobs.policy = self
-        phone.net.restrictor = self._network_allowed
-        phone.power.gates.append(self._gate_wakelock)
-        phone.location.gates.append(self._gate_generic)
-        phone.sensors.gates.append(self._gate_generic)
-        phone.wifi.gates.append(self._gate_generic)
-        phone.bluetooth.gates.append(self._gate_generic)
         self.sim.every(30.0, self._idle_check)
         if self.aggressive:
             # The paper forces Doze on at the start of each experiment.
             self.sim.schedule(0.0, self._enter_doze)
 
-    # -- exemptions ------------------------------------------------------------
-
-    def _exempt(self, uid):
-        app = self.phone.apps.get(uid)
-        if app is None:
-            return True  # system
-        if app.foreground_service or app.foreground:
-            return True
-        return False
-
-    # -- gates & policy hooks ------------------------------------------------------
-
-    def _gate_wakelock(self, record):
-        if self.state is not DozeState.DOZING:
-            return True
-        if record.level is WakeLockLevel.SCREEN_BRIGHT:
-            return True  # Doze does not manage the screen
-        if self._exempt(record.uid):
-            return True
-        self._revoked.append(record)
-        return False
-
-    def _gate_generic(self, record):
-        if self.state is not DozeState.DOZING:
-            return True
-        if self._exempt(record.uid):
-            return True
-        self._revoked.append(record)
-        return False
-
-    def _network_allowed(self, uid):
-        if self.state is not DozeState.DOZING:
-            return True
-        return self._exempt(uid)
+    def _restricting(self):
+        return self.state is DozeState.DOZING
 
     def intercept_alarm(self, alarm):
         """AlarmManager policy: defer background wakeups while dozing."""
-        if self.state is not DozeState.DOZING:
-            return False
-        if self._exempt(alarm.uid):
+        if not self._restricting() or self._exempt(alarm.uid):
             return False
         self._queued_alarms.append(alarm)
         return True
-
-    def intercept_job(self, job):
-        """JobScheduler policy: defer background jobs while dozing."""
-        if self.state is not DozeState.DOZING:
-            return False
-        return not self._exempt(job.app.uid)
 
     # -- doze lifecycle ----------------------------------------------------------
 
@@ -198,29 +149,6 @@ class Doze(Mitigation):
         self.state = DozeState.DOZING
         self._revoke_background()
         self._schedule_maintenance()
-
-    # -- revocation bookkeeping ------------------------------------------------------
-
-    def _revoke_background(self):
-        power = self.phone.power
-        for record in power.honoured_records():
-            if record.level is WakeLockLevel.SCREEN_BRIGHT:
-                continue
-            if self._exempt(record.uid):
-                continue
-            power.revoke(record)
-            self._revoked.append(record)
-        for service in (self.phone.location, self.phone.sensors,
-                        self.phone.wifi, self.phone.bluetooth):
-            for record in list(service.records):
-                if record.os_active and not self._exempt(record.uid):
-                    service.revoke(record)
-                    self._revoked.append(record)
-
-    def _restore_all(self):
-        revoked, self._revoked = self._revoked, []
-        for record in revoked:
-            record.service.restore(record)
 
     def _flush_alarms(self):
         queued, self._queued_alarms = self._queued_alarms, []

@@ -14,6 +14,7 @@ import os
 
 from dataclasses import asdict, dataclass, field
 
+from repro.io import atomic_write
 from repro.version import __version__
 
 MANIFEST_KIND = "failure_manifest"
@@ -132,9 +133,8 @@ class FailureManifest:
             path = os.path.join(directory, "failures_{}.json".format(
                 self.fingerprint()))
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        atomic_write(path, json.dumps(self.to_dict(), indent=2,
+                                      sort_keys=True) + "\n")
         return path
 
     @classmethod

@@ -8,6 +8,7 @@ from repro.core.policy import LeasePolicy
 from repro.core.utility import UtilityCounter
 from repro.droid.app import App
 from repro.droid.resources import ResourceType
+from repro.droid.sensors import SensorType
 from repro.mitigation import LeaseOS
 
 from tests.conftest import make_phone
@@ -153,6 +154,66 @@ def test_dead_kernel_object_removes_lease():
     app = phone.install(IdleHolder())
     phone.run_for(seconds=2.0)
     assert len(manager.leases_for(app.uid)) == 1
+    phone.kill_app(app.uid)
+    assert manager.leases_for(app.uid) == []
+
+
+class Sleeper(App):
+    """Holds nothing by itself; the test opens its resources."""
+
+    app_name = "sleeper"
+
+    def run(self):
+        while True:
+            yield self.sleep(3600.0)
+
+
+def _lock(new):
+    def open_lock(phone, app):
+        lock = new(phone, app)
+        lock.acquire()
+        return lock.release
+    return open_lock
+
+
+#: service -> (open a resource for an app, returning its release; the
+#: events its lease notes over one acquire and release)
+LIFECYCLES = {
+    "power": (_lock(lambda phone, app: phone.power.new_wakelock(app, "w")),
+              ["acquire", "release"]),
+    "wifi": (_lock(lambda phone, app: phone.wifi.new_lock(app)),
+             ["acquire", "release"]),
+    "location": (lambda phone, app: phone.location.request_location_updates(
+        app, lambda fix: None, 10.0).remove, ["release"]),
+    "sensors": (lambda phone, app: phone.sensors.register_listener(
+        app, SensorType.ACCELEROMETER, lambda reading: None).unregister,
+        ["release"]),
+    "bluetooth": (lambda phone, app: phone.bluetooth.connect(app).close,
+                  ["release"]),
+    "audio": (lambda phone, app: phone.audio.open_session(app).close, []),
+}
+
+
+@pytest.mark.parametrize("service", sorted(LIFECYCLES))
+def test_each_proxy_leases_notes_and_drops_its_objects(service):
+    open_resource, noted = LIFECYCLES[service]
+    phone, manager = leased_phone()
+    app = phone.install(Sleeper())
+    release = open_resource(phone, app)
+    leases = manager.leases_for(app.uid)
+    assert len(leases) == 1
+    lease = leases[0]
+    assert manager.op_counts["create"] == 1
+    phone.run_for(seconds=1.0)
+    release()
+    assert [event for __, event in lease.events] == noted
+    assert manager.op_counts["note_event"] == len(noted)
+    # Closing an audio session kills it; released objects live on.
+    assert manager.leases_for(app.uid) == ([] if service == "audio"
+                                           else [lease])
+    open_resource(phone, app)
+    assert len(manager.leases_for(app.uid)) == (1 if service == "audio"
+                                                else 2)
     phone.kill_app(app.uid)
     assert manager.leases_for(app.uid) == []
 

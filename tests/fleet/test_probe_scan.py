@@ -2,10 +2,9 @@
 
 ``needed_probes`` reads ``sample_columns`` in chunks and expands each
 device class once; it must return exactly what the per-device scan it
-replaced returned, frozen below as the oracle. ``build_table`` takes
-the probe set from the grid ``ResultCache``, so a rebuild from cached
-probes samples no device at all, and it stores the assembled table as
-one entry, so a warm build reads no probe set and no probe.
+replaced returned, frozen below as the oracle. ``build_table`` stores
+the assembled table as one grid ``ResultCache`` entry, so a warm build
+scans no device and reads no probe.
 """
 
 import dataclasses
@@ -25,7 +24,6 @@ from repro.fleet.fastpath import (
     build_table,
     case_env_json,
     needed_probes,
-    probe_set,
 )
 from repro.fleet.population import PopulationSpec
 from repro.resilience import HarnessFaults, Supervisor
@@ -132,7 +130,7 @@ def test_column_scan_stops_at_the_cap_in_chunks(monkeypatch):
     assert set(probes) < set(reference_needed_probes(population))
 
 
-# -- the probe-set cache -------------------------------------------------------
+# -- scans per build -----------------------------------------------------------
 
 @pytest.fixture
 def scans(monkeypatch):
@@ -160,13 +158,6 @@ def _entry_files(cache_dir, func):
     return paths
 
 
-def _probe_set_file(cache_dir):
-    """Path of the one probe-set entry in a cache directory."""
-    paths = _entry_files(cache_dir, "repro.fleet.fastpath:needed_probes")
-    assert len(paths) == 1, paths
-    return paths[0]
-
-
 def table_file(cache_dir):
     """Path of the one assembled-table entry in a cache directory."""
     paths = _entry_files(cache_dir, "repro.fleet.fastpath:build_table")
@@ -180,42 +171,6 @@ def drop_table_entry(cache_dir):
     os.unlink(table_file(cache_dir))
 
 
-def test_warm_build_reads_the_probe_set_from_the_cache(tmp_path,
-                                                       monkeypatch):
-    cache = str(tmp_path / "cache")
-    cold = build_table(SMALL, runner=GridRunner(jobs=1, cache=cache))
-    drop_table_entry(cache)
-
-    def no_scan(population):
-        raise AssertionError("a warm build scanned the population")
-
-    monkeypatch.setattr(fastpath, "needed_probes", no_scan)
-    warm = build_table(SMALL, runner=GridRunner(jobs=1, cache=cache))
-    assert warm.to_json() == cold.to_json()
-    assert len(cold.entries) == 54
-
-
-def test_probe_set_misses_on_seed_and_code_digest(tmp_path, monkeypatch,
-                                                  scans):
-    from repro.experiments import grid
-
-    cache = ResultCache(str(tmp_path / "cache"))
-    probes = probe_set(SMALL, cache)
-    assert probe_set(SMALL, cache) == probes
-    assert len(scans) == 1
-    probe_set(dataclasses.replace(SMALL, seed=32), cache)
-    assert len(scans) == 2
-    # Other code (an edited scan or cap among it) never reads this
-    # code's probe set.
-    with monkeypatch.context() as patch:
-        patch.setattr(grid, "code_digest", lambda: "0" * 64)
-        probe_set(SMALL, cache)
-    assert len(scans) == 3
-    # Every variant was stored beside the first; none replaced it.
-    assert probe_set(SMALL, cache) == probes
-    assert len(scans) == 3
-
-
 def test_uncached_build_scans_every_time_and_writes_nothing(tmp_path,
                                                             monkeypatch,
                                                             scans):
@@ -226,25 +181,6 @@ def test_uncached_build_scans_every_time_and_writes_nothing(tmp_path,
     assert second.to_json() == first.to_json()
     assert len(scans) == 2
     assert os.listdir(str(tmp_path)) == []
-
-
-def test_corrupt_probe_set_entry_is_recomputed(tmp_path, scans):
-    cache = str(tmp_path / "cache")
-    cold = build_table(SMALL, runner=GridRunner(jobs=1, cache=cache))
-    assert len(scans) == 1
-    path = _probe_set_file(cache)
-    drop_table_entry(cache)
-    with open(path, "w") as handle:
-        handle.write('{"spec": {"kind": "func"}, "result": [')
-    rebuilt = build_table(SMALL, runner=GridRunner(jobs=1, cache=cache))
-    assert rebuilt.to_json() == cold.to_json()
-    assert len(scans) == 2
-    # The recomputed set was stored again, whole.
-    assert _probe_set_file(cache) == path
-    drop_table_entry(cache)
-    warm = build_table(SMALL, runner=GridRunner(jobs=1, cache=cache))
-    assert warm.to_json() == cold.to_json()
-    assert len(scans) == 2
 
 
 # -- the assembled table's entry -----------------------------------------------
@@ -316,10 +252,10 @@ def test_corrupt_table_entry_is_discarded_and_rebuilt(tmp_path, scans):
     runner = GridRunner(jobs=1, cache=cache)
     rebuilt = build_table(SMALL, runner=runner)
     assert rebuilt.to_json() == cold.to_json()
-    # Rebuilt from the cached probe set and probes, then stored again
-    # with the same bytes.
+    # Rebuilt from a second scan and the cached probes, then stored
+    # again with the same bytes.
     assert runner.stats.cache_hits == 54
-    assert len(scans) == 1
+    assert len(scans) == 2
     assert table_file(cache) == path
     with open(path, "rb") as handle:
         assert handle.read() == stored

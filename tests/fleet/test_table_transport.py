@@ -33,8 +33,8 @@ FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 @pytest.fixture(scope="module")
 def probe_cache(tmp_path_factory):
-    """A result cache holding POP's probes, probe set and assembled
-    table, no shard."""
+    """A result cache holding POP's probes and assembled table, no
+    shard."""
     cache = str(tmp_path_factory.mktemp("probe-cache"))
     table_only = FleetRunner(POP, runner=GridRunner(jobs=1, cache=cache),
                              mode="vector", checkpoint_dir=str(

@@ -22,8 +22,8 @@ PACKAGE = os.path.dirname(os.path.abspath(repro.__file__))
 SRC = os.path.dirname(PACKAGE)
 
 #: Prints the cache key of one spec of each kind a fleet or a grid
-#: sweep stores: a Table-5 case job, a probe, the probe set, and a
-#: kernel and a vector shard.
+#: sweep stores: a Table-5 case job, a probe, and a kernel and a vector
+#: shard.
 _KEYS = """
 import json
 from repro.experiments.grid import FuncSpec, JobSpec, ResultCache
@@ -39,9 +39,8 @@ specs = {
     "probe": FuncSpec.make(probe_day, kind="base", name="",
                            profile="nexus5", mitigation="leaseos",
                            minutes=15.0, variant="idle"),
-    "probe_set": FuncSpec.make("repro.fleet.fastpath:needed_probes",
-                               population=population.fingerprint()),
-    "kernel_shard": FuncSpec.make(run_shard, **shard),
+    "kernel_shard": FuncSpec.make(run_shard, mode="kernel", table="",
+                                  **shard),
     "vector_shard": FuncSpec.make(run_shard, mode="vector",
                                   table="ab" * 32, **shard),
 }

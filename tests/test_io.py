@@ -6,7 +6,10 @@ import os
 
 import pytest
 
+from repro.faults.bundle import write_bundle
+from repro.fleet.report import write_report
 from repro.io import atomic_write, canonical_json, left_sum
+from repro.resilience.manifest import FailureManifest, FailureRecord
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
 
@@ -74,6 +77,39 @@ def test_only_durable_writes_fsync(tmp_path, monkeypatch, durable,
     monkeypatch.setattr(os, "fsync", counting_fsync)
     atomic_write(str(tmp_path / "f"), "text", durable=durable)
     assert len(calls) == fsyncs
+
+
+def _fleet_report(directory, value):
+    return write_report({"value": value},
+                        path=os.path.join(directory, "fleet.json"))
+
+
+def _failure_manifest(directory, value):
+    manifest = FailureManifest(run_fingerprint="f" * 12)
+    manifest.add(FailureRecord(label="shard:000000",
+                               spec={"kind": "func", "value": value}))
+    return manifest.write(path=os.path.join(directory, "failures.json"))
+
+
+def _chaos_bundle(directory, value):
+    return write_bundle(directory, {"case_key": "torch", "seed": 1},
+                        {"violations": [value]})
+
+
+@pytest.mark.parametrize("write", [_fleet_report, _failure_manifest,
+                                   _chaos_bundle],
+                         ids=["fleet-report", "failure-manifest",
+                              "chaos-bundle"])
+def test_a_report_that_fails_to_serialise_keeps_the_previous_one(tmp_path,
+                                                                  write):
+    path = write(str(tmp_path), 1)
+    with open(path, "rb") as handle:
+        previous = handle.read()
+    with pytest.raises(TypeError):
+        write(str(tmp_path), {1})  # a set is no JSON
+    with open(path, "rb") as handle:
+        assert handle.read() == previous
+    assert os.listdir(str(tmp_path)) == [os.path.basename(path)]
 
 
 def test_no_hand_rolled_atomic_write_or_canonical_json_outside_io():
