@@ -887,6 +887,7 @@ def build_parser():
 
 
 def main(argv=None):
+    from repro.io import atomic_write
     from repro.resilience.errors import RunInterrupted
 
     parser = build_parser()
@@ -906,8 +907,7 @@ def main(argv=None):
             if args.out:
                 os.makedirs(args.out, exist_ok=True)
                 path = os.path.join(args.out, filename)
-                with open(path, "w") as handle:
-                    handle.write(text + "\n")
+                atomic_write(path, text + "\n")
                 print("[written to {}]".format(path), file=sys.stderr)
     except (KeyboardInterrupt, RunInterrupted) as exc:
         # Ctrl-C / SIGTERM: completed work is already durable (the

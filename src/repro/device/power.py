@@ -318,7 +318,3 @@ class PowerMonitor:
         """Settled energy attributed to ``uid`` so far, in mJ."""
         self.settle()
         return self.ledger.app_total_mj(uid)
-
-    def total_energy_mj(self):
-        self.settle()
-        return self.ledger.total_mj()

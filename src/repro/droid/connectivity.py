@@ -62,9 +62,6 @@ class ConnectivityService:
         self.restrictor = None
         suspend.on_transition(self._on_suspend)
 
-    def is_connected(self):
-        return self.env.network.connected
-
     def request(self, app, server, payload_s=0.0):
         """Generator: perform one request; must be ``yield from``-ed.
 

@@ -36,10 +36,6 @@ class SocketTimeoutException(NetworkException):
     """The connection attempt or transfer timed out."""
 
 
-class AuthException(AppException):
-    """Authentication with a remote service failed."""
-
-
 class ExceptionNoteHandler:
     """Global handler counting severe exceptions per app over time.
 

@@ -55,18 +55,6 @@ class IpcBus:
         """Register ``hook(uid, service, method) -> extra_latency_s``."""
         self._overhead_hooks.append(hook)
 
-    def set_fault_window(self, extra_latency_s=0.0, failure_rate=0.0,
-                         rng=None):
-        """Arm (or, with zeros, disarm) a binder fault window.
-
-        Used by :class:`repro.faults.injector.FaultInjector`; latency
-        spikes and transaction failures are deterministic given ``rng``.
-        """
-        self.fault_extra_latency_s = float(extra_latency_s)
-        self.fault_failure_rate = float(failure_rate)
-        if rng is not None:
-            self.fault_rng = rng
-
     def record(self, uid, service, method, extra_latency_s=0.0):
         """Record one IPC and return its total modelled latency (seconds)."""
         latency = self.base_latency_s + extra_latency_s

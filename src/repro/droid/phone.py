@@ -298,7 +298,3 @@ class Phone:
         wifi_idle = self.profile.wifi_idle_mw if network.kind == "wifi" else 0.0
         self.monitor.set_rail("wifi_idle", wifi_idle, ())
         self.monitor.set_rail("radio_idle", self.profile.radio_idle_mw, ())
-
-    @property
-    def system_uid(self):
-        return SYSTEM_UID

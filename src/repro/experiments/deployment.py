@@ -74,9 +74,6 @@ def run(devices=2000, affliction_rate=0.2, seed=2019, rows=None):
     """
     rows = rows if rows is not None else table5.run(minutes=10.0)
     per_class = _per_class_measurements(rows)
-    mitigated = [c.behavior for c in CASES
-                 if c.behavior is not None
-                 and c.behavior.is_misbehavior]
     all_classified = [c.behavior for c in CASES if c.behavior is not None]
 
     rng = random.Random(seed)

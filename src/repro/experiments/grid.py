@@ -32,7 +32,7 @@ import importlib
 import json
 import os
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 
 from repro.io import atomic_write, canonical_json

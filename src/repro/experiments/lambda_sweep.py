@@ -53,11 +53,6 @@ class _Trace:
         return self._waste_before(end) - self._waste_before(start)
 
 
-def _misbehavior_in(slices, start, end):
-    """Compatibility helper for one-off queries (tests)."""
-    return _Trace(slices).misbehavior_in(start, end)
-
-
 def trace_reduction(slices, term_s, deferral_s):
     """Analytic lease walk over a slice trace.
 

@@ -88,6 +88,7 @@ once-per-run warning and a ``fastpath_fallbacks`` counter) instead of
 degrading the shard.
 """
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -100,9 +101,10 @@ from repro.io import canonical_json, left_sum
 #: carries :func:`repro.version.code_digest`.
 PROBE_SCHEMA = 1
 
-#: The canonical representative day every probe runs. Values sit at the
-#: midpoints of the population sampler's ranges
-#: (:meth:`~repro.fleet.population.PopulationSpec.device`).
+#: The canonical representative day every probe runs: the seven usage
+#: fields of a :class:`~repro.fleet.population.DeviceSpec`, at typical
+#: values of the sampling law's ranges
+#: (:meth:`~repro.fleet.population.PopulationSpec.sample_columns`).
 CANONICAL = {
     "gps_quality": 0.765,
     "movement_mps": 0.0,
@@ -219,26 +221,11 @@ DEFAULT_TOLERANCES = {
 
 # -- kernel probes -------------------------------------------------------------
 
-def _probe_device(profile, normal_apps=(), buggy_apps=(),
-                  session_count=None):
+def _probe_device(profile, normal_apps=(), buggy_apps=()):
     """The canonical-day DeviceSpec a probe simulates."""
-    if session_count is None:
-        session_count = CANONICAL["session_count"]
-    return DeviceSpec(
-        index=0,
-        sub_seed=PROBE_SEED,
-        profile=profile,
-        normal_apps=tuple(normal_apps),
-        buggy_apps=tuple(buggy_apps),
-        gps_quality=CANONICAL["gps_quality"],
-        movement_mps=CANONICAL["movement_mps"],
-        network_kind=CANONICAL["network_kind"],
-        battery_level=CANONICAL["battery_level"],
-        session_count=session_count,
-        session_s=CANONICAL["session_s"],
-        touch_interval_s=CANONICAL["touch_interval_s"],
-        fault_plan_json="",
-    )
+    return DeviceSpec(index=0, sub_seed=PROBE_SEED, profile=profile,
+                      normal_apps=tuple(normal_apps),
+                      buggy_apps=tuple(buggy_apps), **CANONICAL)
 
 
 def _screen_cycle_day(phone, session_count, session_s):
@@ -888,14 +875,11 @@ def kernel_device_day(population_json, index, mitigation):
 def validation_population(population, n, seed):
     """An ``n``-device population drawn from the same sampling law as
     ``population`` (same pools, prevalence, minutes, mitigations) but
-    an independent seed and no chaos -- the table's random exam."""
-    return PopulationSpec(
-        seed=seed, devices=n, mitigations=population.mitigations,
-        minutes=population.minutes, shard_size=population.shard_size,
-        buggy_prevalence=population.buggy_prevalence,
-        min_apps=population.min_apps, max_apps=population.max_apps,
-        profiles=population.profiles, buggy_pool=population.buggy_pool,
-        chaos_rate=0.0)
+    an independent seed, no chaos and no scenario catalog -- the
+    table's random exam."""
+    return dataclasses.replace(
+        population, seed=seed, devices=n, chaos_rate=0.0,
+        catalog_json="", scenario_prevalence=0.0, family_weights=())
 
 
 def cross_validate(population, n=50, seed=20190451, runner=None,

@@ -9,14 +9,19 @@ and environment parameters, and (optionally) a sampled
 :class:`~repro.faults.plan.FaultPlan` arming chaos on a fraction of the
 fleet.
 
+One sampler states the law: :meth:`PopulationSpec.sample_columns`
+draws a device range into :class:`DeviceColumns`, and
+``spec.device(i)`` is its one-row case.
+
 Determinism contract:
 
-- ``spec.device(i)`` depends only on ``(spec, i)``: the per-device
-  sub-seed is ``sha256("{population_seed}:{i}")``, so any worker can
+- device ``i`` depends only on ``(spec, i)``: the per-device sub-seed
+  is ``sha256("{population_seed}:{i}")``, so any worker can
   materialise any device independently, in any order, on any Python
   version (no reliance on process-global RNG state or hash seeds).
-- different device indices get independent streams: each device builds
-  its own ``random.Random(sub_seed)`` and nothing else reads it.
+- different device indices get independent streams: each device
+  reseeds the sampler's Mersenne Twister with its own sub-seed, and
+  its draws read nothing else.
 - ``spec.fingerprint()`` hashes the canonical JSON of every sampling
   parameter, so checkpoints and caches can refuse populations that
   drifted.
@@ -147,12 +152,6 @@ class DeviceSpec:
     touch_interval_s: float
     fault_plan_json: str = ""
 
-    def as_dict(self):
-        data = asdict(self)
-        data["normal_apps"] = list(self.normal_apps)
-        data["buggy_apps"] = list(self.buggy_apps)
-        return data
-
 
 @dataclass(frozen=True)
 class PopulationSpec:
@@ -280,66 +279,23 @@ class PopulationSpec:
         return int.from_bytes(hashlib.sha256(token).digest()[:8], "big")
 
     def device(self, index):
-        """Materialise device ``index``'s :class:`DeviceSpec`."""
+        """Materialise device ``index``'s :class:`DeviceSpec`: a one-row
+        :meth:`sample_columns`."""
         if not 0 <= index < self.devices:
             raise IndexError("device {} out of range".format(index))
-        sub_seed = self.sub_seed(index)
-        rng = random.Random(sub_seed)
-        profile = rng.choice(list(self.profiles))
-        slots = rng.randint(self.min_apps, self.max_apps)
-        # Catalog-free specs take zero scenario draws, keeping their
-        # device streams byte-identical to pre-scenario builds.
-        pool = scenario_pool(self.catalog_json, self.family_weights) \
-            if self.catalog_json else None
-        normal, buggy = [], []
-        for __ in range(slots):
-            if pool is not None \
-                    and rng.random() < self.scenario_prevalence:
-                buggy.append(_draw_scenario(rng.random(), pool))
-            elif self.buggy_pool and rng.random() < self.buggy_prevalence:
-                buggy.append(rng.choice(list(self.buggy_pool)))
-            else:
-                normal.append(rng.choice(list(NORMAL_ARCHETYPES)))
-        # Duplicate installs are illegal (one uid per app name); keep
-        # first occurrences, preserving sampled order.
-        normal = tuple(dict.fromkeys(normal))
-        buggy = tuple(dict.fromkeys(buggy))
-        fault_plan_json = ""
-        if self.chaos_rate > 0 and rng.random() < self.chaos_rate:
-            from repro.faults.plan import FaultPlan
-
-            plan = FaultPlan.sample(
-                sub_seed % (2 ** 31), horizon_s=self.minutes * 60.0,
-                events_per_hour=self.chaos_events_per_hour)
-            fault_plan_json = plan.to_json()
-        return DeviceSpec(
-            index=index,
-            sub_seed=sub_seed,
-            profile=profile,
-            normal_apps=normal,
-            buggy_apps=buggy,
-            gps_quality=round(rng.uniform(0.55, 0.98), 3),
-            movement_mps=round(rng.choice((0.0, 0.0, 0.8, 1.4)), 3),
-            network_kind=rng.choice(("wifi", "wifi", "cellular")),
-            battery_level=round(rng.uniform(0.5, 1.0), 3),
-            session_count=rng.randint(1, 3),
-            session_s=round(rng.uniform(120.0, 600.0), 1),
-            touch_interval_s=round(rng.uniform(6.0, 45.0), 1),
-            fault_plan_json=fault_plan_json,
-        )
+        return self.sample_columns(index, index + 1).spec(0, self)
 
     def sample_columns(self, start, stop):
         """Batch-sample ``[start, stop)`` into :class:`DeviceColumns`.
 
-        Draw-for-draw identical to :meth:`device` -- same sub-seed
-        derivation, same ``random.Random`` call sequence -- but emits
-        struct-of-arrays columns instead of one frozen dataclass per
-        device, and records chaos arming as a boolean instead of
-        sampling the (expensive) fault-plan JSON.  Devices whose
-        ``has_fault`` flag is set must be materialised through
-        :meth:`device` when the plan itself is needed; the vector
-        engine only needs to know they exist so it can route them to
-        the scalar fallback.
+        The one statement of the sampling law: each device reseeds one
+        Mersenne Twister with its sub-seed and takes its draws in a
+        fixed order. Struct-of-arrays columns come out instead of one
+        frozen dataclass per device, and chaos arming is recorded as a
+        boolean instead of the (expensive) fault-plan JSON, which
+        :meth:`DeviceColumns.spec` samples from the sub-seed when a
+        row is materialised; the vector engine only needs to know the
+        armed rows exist so it can route them to the kernel fallback.
         """
         if not 0 <= start <= stop <= self.devices:
             raise IndexError("range [{}, {}) out of population".format(
@@ -348,11 +304,10 @@ class PopulationSpec:
         # The loop below is the vector engine's per-device floor, so
         # every draw is inlined: ``choice``/``randint`` reduce to
         # ``_randbelow`` (rejection-sampled ``getrandbits``, the
-        # documented CPython algorithm ``device()`` already relies on
-        # for cross-version stability) and ``uniform(a, b)`` is
-        # literally ``a + (b - a) * random()``. The column parity test
-        # (sample_columns == device, thousands of devices) pins the
-        # draw-for-draw equivalence.
+        # documented CPython algorithm, stable across versions) and
+        # ``uniform(a, b)`` is literally ``a + (b - a) * random()``. A
+        # frozen copy of the law written with those calls
+        # (``tests/fleet/sampling_oracle.py``) pins every draw.
         profiles = list(self.profiles)
         buggy_pool = list(self.buggy_pool)
         normal_pool = list(NORMAL_ARCHETYPES)
@@ -432,7 +387,7 @@ class PopulationSpec:
             ap_normal(tuple(fromkeys(normal)))
             ap_buggy(tuple(fromkeys(buggy)))
             # gps/battery never feed the columnar composition, so
-            # device()'s rounding is applied lazily in spec().
+            # their rounding is applied lazily in spec().
             ap_gps(0.55 + gps_span * uniform())
             r = grb(3)
             while r >= 4:
@@ -460,8 +415,8 @@ class DeviceColumns:
     the input format of the vector engine (:mod:`repro.fleet.vector`):
     scalar columns become numpy arrays, app tuples key equivalence
     classes.  ``has_fault`` stands in for ``fault_plan_json`` -- the
-    plan is only sampled when a device actually falls back to the
-    kernel path.
+    plan is only sampled when :meth:`spec` materialises the row, as
+    for a device that falls back to the kernel path.
     """
 
     __slots__ = (
@@ -480,16 +435,21 @@ class DeviceColumns:
     def spec(self, row, population):
         """Materialise row ``row`` as a :class:`DeviceSpec`.
 
-        Fault-armed rows delegate to :meth:`PopulationSpec.device` (the
-        plan JSON must come from the canonical sampler); everything
-        else is rebuilt directly from the columns, which hold exactly
-        the values ``device()`` would have drawn.
+        The columns hold every drawn value; a fault-armed row's plan
+        depends only on its sub-seed and the population's horizon and
+        event rate, so it is sampled here.
         """
+        sub_seed = self.sub_seed[row]
+        fault_plan_json = ""
         if self.has_fault[row]:
-            return population.device(self.index[row])
+            from repro.faults.plan import FaultPlan
+
+            fault_plan_json = FaultPlan.sample(
+                sub_seed % (2 ** 31), horizon_s=population.minutes * 60.0,
+                events_per_hour=population.chaos_events_per_hour).to_json()
         return DeviceSpec(
             index=self.index[row],
-            sub_seed=self.sub_seed[row],
+            sub_seed=sub_seed,
             profile=self.profile[row],
             normal_apps=self.normal_apps[row],
             buggy_apps=self.buggy_apps[row],
@@ -500,5 +460,5 @@ class DeviceColumns:
             session_count=self.session_count[row],
             session_s=self.session_s[row],
             touch_interval_s=self.touch_interval_s[row],
-            fault_plan_json="",
+            fault_plan_json=fault_plan_json,
         )

@@ -378,10 +378,6 @@ class QuantileDigest:
                 combined.append(self.entries[-1])
             self.entries = combined
 
-    @property
-    def total_weight(self):
-        return left_sum(w for __, w in self.entries)
-
     def quantile(self, q):
         """The value at cumulative-weight fraction ``q`` (0..1)."""
         if not self.entries:

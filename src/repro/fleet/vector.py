@@ -9,10 +9,10 @@ arithmetic into struct-of-arrays numpy expressions over a whole shard
 at once:
 
 - **Batched sampling** --
-  :meth:`~repro.fleet.population.PopulationSpec.sample_columns` draws
-  every device's attributes with the exact ``random.Random`` call
-  sequence of ``device()``, but into parallel columns and without
-  materialising per-device dataclasses or fault-plan JSON.
+  :meth:`~repro.fleet.population.PopulationSpec.sample_columns`, the
+  one sampler (``device(i)`` is its one-row case), draws every
+  device's attributes into parallel columns, without materialising
+  per-device dataclasses or fault-plan JSON.
 - **Equivalence-class resolution** -- devices are grouped by
   ``(profile, app mix, merged case env)``; each class resolves its
   probe entries once per table per process (:class:`_ShardClasses`,

@@ -9,15 +9,16 @@ Python version. :func:`atomic_write` is the one tmp+rename publish
 behind the grid result cache, the fleet shard checkpoints, the lease
 journal's snapshots and compaction, and the reports: the fleet report
 (``repro.fleet.report.write_report``), the scenario report of ``repro
-scenarios``, the failure manifest (``FailureManifest.write``) and the
-chaos repro bundles (``repro.faults.bundle.write_bundle``). A reader,
-or a process killed mid-write, never sees a torn file, and a write that
-fails keeps the previous file.
+scenarios``, the failure manifest (``FailureManifest.write``), the
+chaos repro bundles (``repro.faults.bundle.write_bundle``) and the
+text artifacts of ``repro --out DIR``. A reader, or a process killed
+mid-write, never sees a torn file, a write that fails keeps the
+previous file, and a published file has the mode ``open(path, "w")``
+would give it.
 """
 
 import json
 import os
-import tempfile
 
 from functools import reduce
 from operator import add
@@ -43,24 +44,28 @@ def left_sum(values, start=0):
 def atomic_write(path, text, durable=False):
     """Replace the file at ``path`` with ``text`` in one rename.
 
-    The text goes to a temporary file in the same directory, which is
-    then renamed over ``path``. On ``OSError`` the temporary file is
-    removed and the error propagates; the old file stays intact.
+    The text goes to a new file beside ``path``, under a random name
+    ending ``.tmp`` that no directory reader matches (``O_EXCL``: it
+    never opens an existing file), which is then renamed over
+    ``path``. That file is created as ``open(path, "w")`` creates one,
+    mode 0666 less the umask, so the published file reads as a plain
+    write's would. If anything fails, the temporary file is removed
+    and the error propagates; the old file stays intact.
     ``durable=True`` fsyncs the temporary file before the rename, so
     the new content also survives a power cut.
     """
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=os.path.dirname(path), suffix=".tmp", delete=False)
+    tmp = "{}.{}.tmp".format(path, os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with handle:
+        with open(fd, "w") as handle:
             handle.write(text)
             if durable:
                 handle.flush()
                 os.fsync(handle.fileno())
-        os.replace(handle.name, path)
-    except OSError:
+        os.replace(tmp, path)
+    except BaseException:
         try:
-            os.unlink(handle.name)
+            os.unlink(tmp)
         except OSError:
             pass
         raise

@@ -24,8 +24,6 @@ appends is the journal the uninterrupted run would have written.
 
 from random import Random
 
-from repro.service.state import ACTIVE
-
 #: Simulation seconds between scripted steps.
 STEP_INTERVAL_S = 30.0
 

@@ -327,18 +327,11 @@ class Simulator:
         """The installed kernel trace, or ``None``."""
         return self._trace
 
-    def set_budget(self, budget):
-        """Install a :class:`RunBudget` (or ``None`` to remove it).
-
-        Takes effect for the very next dispatched event, including
-        mid-run (same re-entrancy contract as :meth:`set_trace`).
-        """
-        self._budget = budget
-        return budget
-
     @property
     def budget(self):
-        """The armed runaway budget, or ``None``."""
+        """The armed runaway budget, or ``None``: the constructor's
+        ``budget`` argument or the ambient budget, fixed for the
+        simulator's lifetime."""
         return self._budget
 
     def run_until(self, until):
@@ -362,11 +355,12 @@ class Simulator:
         self._running = True
         # Locals hoisted out of the while: the attribute loads would
         # otherwise be re-executed per event. ``queue`` stays valid across
-        # compactions because _compact() rebuilds the list in place. The
-        # trace is deliberately NOT hoisted: callbacks may install or
-        # remove one mid-run (re-entrant set_trace), and the next event
-        # must see the change.
+        # compactions because _compact() rebuilds the list in place, and
+        # the budget is fixed at construction. The trace is deliberately
+        # NOT hoisted: callbacks may install or remove one mid-run
+        # (re-entrant set_trace), and the next event must see the change.
         queue = self._queue
+        budget = self._budget
         pop = _heappop
         dispatched = 0
         try:
@@ -378,10 +372,6 @@ class Simulator:
                 self.now = deadline
                 timer.fired = True
                 dispatched += 1
-                # Like the trace, the budget is re-read per event so a
-                # mid-run set_budget takes effect immediately; the
-                # usual cost is one attribute load and a None check.
-                budget = self._budget
                 if budget is not None:
                     budget.charge(self)
                 trace = self._trace

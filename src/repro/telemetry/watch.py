@@ -14,7 +14,6 @@ half-done overnight run still renders fleet-level numbers.
 """
 
 import hashlib
-import json
 import os
 import time
 

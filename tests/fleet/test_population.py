@@ -1,4 +1,5 @@
-"""Population sampling: determinism, independence, serialisation."""
+"""Population sampling: the frozen law, determinism, independence,
+serialisation."""
 
 import json
 
@@ -10,6 +11,20 @@ from repro.fleet.population import (
     PopulationSpec,
     normal_app_factory,
 )
+from tests.fleet.sampling_oracle import LAWS, check_law, law
+
+#: Devices per law in tier-1; CI's ``determinism`` job runs 10^5.
+ORACLE_DEVICES = 2000
+
+
+@pytest.mark.parametrize("name", list(LAWS))
+def test_the_sampler_matches_the_frozen_law(name):
+    # sample_columns is the only sampler and device(i) its one-row
+    # case, so each is compared with the frozen per-device oracle,
+    # fault-plan JSON included.
+    population = law(name, ORACLE_DEVICES)
+    armed = check_law(population)
+    assert (armed > 0) == (population.chaos_rate > 0)
 
 
 def test_same_seed_same_population_json():

@@ -1,4 +1,4 @@
-"""Columnar vector engine: sampling parity, exact composition, fallbacks.
+"""Columnar vector engine: sampled columns, exact composition, fallbacks.
 
 The contract under test is strong: for every composed device the
 columnar composition must *equal* per-device ``fast_summary`` (same
@@ -40,7 +40,6 @@ from repro.fleet.vector import (
     compose_shard,
     replay_shard_vector,
 )
-from repro.scenarios.catalog import ScenarioCatalog
 
 #: Small-but-real mixed population; its table is built once through a
 #: module-scoped cached grid runner (the test_fastpath idiom).
@@ -57,16 +56,6 @@ CHAOS = PopulationSpec(seed=31, devices=3, shard_size=3, minutes=2.0,
 FG = PopulationSpec(seed=31, devices=4, shard_size=4, minutes=2.0,
                     mitigations=("vanilla", "leaseos"),
                     buggy_prevalence=1.0)
-
-#: Weighted scenario draws and chaos arming together: every draw
-#: ``sample_columns`` makes for a kernel shard's rows.
-SCENARIO_CHAOS = PopulationSpec(
-    seed=31, devices=300, shard_size=100, minutes=2.0,
-    mitigations=("vanilla", "leaseos"), chaos_rate=0.3,
-    catalog_json=ScenarioCatalog.from_file(
-        "tests/data/scenario_catalog_example.json").to_json(),
-    scenario_prevalence=0.3,
-    family_weights=(("late-release", 3.0), ("misleading-burst", 0.5)))
 
 
 @pytest.fixture(scope="module")
@@ -165,15 +154,6 @@ def _oracle_stats(population, table, start, stop):
 
 
 # -- batched sampling ----------------------------------------------------------
-
-def test_sample_columns_matches_device_exactly():
-    for population in (POP, CHAOS, FG, SCENARIO_CHAOS):
-        columns = population.sample_columns(0, population.devices)
-        assert len(columns) == population.devices
-        for row in range(population.devices):
-            assert columns.spec(row, population) \
-                == population.device(row)
-
 
 def test_sample_columns_records_fault_arming_without_plans():
     columns = CHAOS.sample_columns(0, CHAOS.devices)

@@ -93,14 +93,6 @@ def test_scenario_devices_sampled_at_prevalence():
         assert resolve_case(key).category == "scenario"
 
 
-def test_sample_columns_matches_device_loop():
-    spec = scenario_spec(scenario_prevalence=0.6,
-                         family_weights=(("misleading-burst", 4.0),))
-    columns = spec.sample_columns(0, 40)
-    for i in range(40):
-        assert tuple(columns.buggy_apps[i]) == spec.device(i).buggy_apps
-
-
 def test_family_weights_skew_the_draw():
     heavy = scenario_spec(
         devices=120, scenario_prevalence=0.9,

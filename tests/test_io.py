@@ -3,9 +3,13 @@ float sum."""
 
 import json
 import os
+import stat
+
+from contextlib import contextmanager
 
 import pytest
 
+from repro.cli import main
 from repro.faults.bundle import write_bundle
 from repro.fleet.report import write_report
 from repro.io import atomic_write, canonical_json, left_sum
@@ -47,21 +51,60 @@ def test_atomic_write_replaces_the_content(tmp_path):
     assert os.listdir(str(tmp_path)) == ["entry.json"]
 
 
+def _no_space(*args):
+    raise OSError(28, "No space left on device")
+
+
+@contextmanager
+def _umask(mask):
+    previous = os.umask(mask)
+    try:
+        yield
+    finally:
+        os.umask(previous)
+
+
+def _mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
 def test_failed_replace_keeps_the_old_file_and_no_tmp(tmp_path,
                                                        monkeypatch):
     path = str(tmp_path / "entry.json")
     atomic_write(path, "old\n")
-
-    def refuse(src, dst):
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(os, "replace", refuse)
+    monkeypatch.setattr(os, "replace", _no_space)
     with pytest.raises(OSError):
         atomic_write(path, "new\n")
     monkeypatch.undo()
     with open(path) as handle:
         assert handle.read() == "old\n"
     assert os.listdir(str(tmp_path)) == ["entry.json"]
+
+
+def test_failed_write_keeps_the_old_file_and_no_tmp(tmp_path,
+                                                     monkeypatch):
+    path = str(tmp_path / "entry.json")
+    atomic_write(path, "old\n")
+    monkeypatch.setattr(os, "fsync", _no_space)
+    with pytest.raises(OSError):
+        atomic_write(path, "new\n", durable=True)
+    monkeypatch.undo()
+    with open(path) as handle:
+        assert handle.read() == "old\n"
+    assert os.listdir(str(tmp_path)) == ["entry.json"]
+
+
+@pytest.mark.parametrize("durable", [False, True])
+def test_a_published_file_has_the_mode_a_plain_write_gives(tmp_path,
+                                                           durable):
+    # 0666 less the umask, as open(path, "w") creates a file.
+    path = str(tmp_path / "report.json")
+    with _umask(0o022):
+        atomic_write(path, "shared\n", durable=durable)
+    assert _mode(path) == 0o644
+    with _umask(0o077):
+        atomic_write(path, "private\n", durable=durable)
+    assert _mode(path) == 0o600
 
 
 @pytest.mark.parametrize("durable, fsyncs", [(False, 0), (True, 1)])
@@ -110,6 +153,31 @@ def test_a_report_that_fails_to_serialise_keeps_the_previous_one(tmp_path,
     with open(path, "rb") as handle:
         assert handle.read() == previous
     assert os.listdir(str(tmp_path)) == [os.path.basename(path)]
+
+
+def test_out_writes_the_printed_artifact(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    with _umask(0o022):
+        assert main(["study", "--out", out]) == 0
+    path = os.path.join(out, "study_tables.txt")
+    with open(path) as handle:
+        written = handle.read()
+    # main prints the text and a blank line; the file is the text and
+    # its newline.
+    assert capsys.readouterr().out == written + "\n"
+    assert _mode(path) == 0o644
+
+
+def test_out_keeps_the_previous_artifact_when_the_write_fails(
+        tmp_path, monkeypatch):
+    path = tmp_path / "study_tables.txt"
+    path.write_bytes(b"the previous run\n")
+    monkeypatch.setattr(os, "replace", _no_space)
+    with pytest.raises(OSError):
+        main(["study", "--out", str(tmp_path)])
+    monkeypatch.undo()
+    assert path.read_bytes() == b"the previous run\n"
+    assert os.listdir(str(tmp_path)) == ["study_tables.txt"]
 
 
 def test_no_hand_rolled_atomic_write_or_canonical_json_outside_io():
